@@ -5,7 +5,7 @@ cooperative backends run the *same* engine (identical schedules,
 identical traces -- asserted record-for-record in the conformance
 suite), but the threaded backend pays one OS thread per rank plus an
 O(nprocs) ``notify_all`` thundering herd on every token handoff, while
-simtime uses lazy carriers and O(1) semaphore handoffs.  At 256 ranks
+simtime uses lazy carriers and O(1) raw-lock handoffs.  At 256 ranks
 that difference must be worth **>= 10x** wall-clock on both scaling
 workloads (the issue's floor):
 

@@ -19,6 +19,7 @@ checkpoint backlog.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -26,6 +27,7 @@ from repro.analysis.deadlock import DeadlockReport, analyze_deadlock
 from repro.analysis.history import HistoryIndex
 from repro.analysis.matching import MatchingReport, analyze_matching
 from repro.mp.clock import CostModel
+from repro.mp.locutil import is_infrastructure_file
 from repro.mp.process import ProcState
 from repro.mp.record import CommLog
 from repro.mp.runtime import ProgramSpec
@@ -290,10 +292,6 @@ class DebugSession:
         ``sys._current_frames``.  Runtime-internal frames are filtered
         out; frames are returned outermost first.
         """
-        import sys
-
-        from repro.mp.locutil import is_infrastructure_file
-
         proc = self.runtime.procs[rank]
         if proc.state not in (ProcState.STOPPED, ProcState.BLOCKED):
             raise ValueError(
@@ -322,10 +320,6 @@ class DebugSession:
         Read-only inspection: values are stringified immediately so no
         live references escape the parked thread.
         """
-        import sys
-
-        from repro.mp.locutil import is_infrastructure_file
-
         proc = self.runtime.procs[rank]
         if proc.state not in (ProcState.STOPPED, ProcState.BLOCKED):
             raise ValueError(f"p{rank} is {proc.state.value}")

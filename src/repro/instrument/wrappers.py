@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.mp.comm import Comm, OpDetail
+from repro.mp.datatypes import ANY_SOURCE, ANY_TAG
 from repro.mp.locutil import caller_location
 from repro.mp.pmpi import INTERPOSABLE_OPS
 from repro.mp.runtime import Runtime, Target
@@ -110,7 +111,12 @@ class WrapperLibrary:
                 marker = proc.bump_marker(loc)
             else:
                 marker = proc.marker
-            result = next_call(comm, *args, **kwargs)
+            # Hand the call site on to the PMPI body (one walk per op).
+            comm.entry_location = loc
+            try:
+                result = next_call(comm, *args, **kwargs)
+            finally:
+                comm.entry_location = None
             detail = comm.last_op
             if detail is not None:
                 self._record(comm, op, base_kind, marker, detail, args)
@@ -133,8 +139,6 @@ class WrapperLibrary:
             # Preserve the *posted* pattern (possibly wildcards) next to
             # the resolved endpoints -- the race detector needs to know a
             # receive could have matched something else.
-            from repro.mp.datatypes import ANY_SOURCE, ANY_TAG
-
             extra["posted_src"] = args[0] if len(args) >= 1 else ANY_SOURCE
             extra["posted_tag"] = args[1] if len(args) >= 2 else ANY_TAG
         # Normalize receive completions arriving via wait/test/waitany:

@@ -1,4 +1,4 @@
-"""Simulated-time backend: lazy carriers, O(1) direct token handoffs.
+"""Simulated-time backend: lazy carriers, O(1) raw-lock token handoffs.
 
 Scales the cooperative engine to 1000+-rank traces.  The schedule it
 produces is *identical* to the threaded backend's -- both run the shared
@@ -7,17 +7,23 @@ same :class:`~repro.mp.scheduler.SchedulingPolicy` -- so traces,
 CommLogs, and markers are bit-for-bit the same for a given (program,
 policy, seed).  Only the cost of a context switch changes:
 
-* **Direct handoff.**  Each rank owns a private binary semaphore and the
-  controller owns one more.  A grant is one ``release`` on the grantee's
-  semaphore plus one ``acquire`` on the controller's -- O(1), touching
-  exactly the two parties involved.  The threaded backend's shared
-  condition variable wakes *every* parked rank per grant
+* **Raw-lock handoff.**  Each rank owns a private binary lock and the
+  controller owns one more, all allocated already held
+  (``_thread.allocate_lock``).  A grant is one ``release`` on the
+  grantee's lock plus one ``acquire`` on the controller's -- O(1),
+  touching exactly the two parties involved.  The threaded backend's
+  shared condition variable wakes *every* parked rank per grant
   (``notify_all``), an O(nprocs) thundering herd that dominates
-  wall-clock from a few hundred ranks up.
+  wall-clock from a few hundred ranks up.  A raw lock is the C-level
+  primitive; ``threading.Semaphore`` builds the same handoff out of a
+  pure-Python ``Condition`` and costs several lock operations per
+  ``release``/``acquire``.  Being binary, a raw lock also refuses a
+  stray second grant (``RuntimeError: release unlocked lock``) instead
+  of silently banking a permit.
 
 * **Lazy carriers.**  A rank's carrier thread is created on its *first*
-  grant, not at launch.  Launching 1024 ranks allocates 1024 semaphores
-  and no threads; ranks that never run (e.g. a trace truncated by
+  grant, not at launch.  Launching 1024 ranks allocates 1024 locks and
+  no threads; ranks that never run (e.g. a trace truncated by
   ``max_grants`` or an early stop) never pay thread creation, and
   teardown retires them without unwinding a stack that was never built.
 
@@ -35,32 +41,33 @@ component influencing anything.
 from __future__ import annotations
 
 import threading
+from _thread import LockType, allocate_lock
 
 from ..process import ProcState, Process
 from .engine import CooperativeBackend
 
 
 class SimtimeBackend(CooperativeBackend):
-    """Lazy thread carriers with per-rank semaphore handoffs."""
+    """Lazy thread carriers with per-rank raw-lock handoffs."""
 
     name = "simtime"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: controller's token-return semaphore (binary in practice)
-        self._controller = threading.Semaphore(0)
-        #: rank -> that rank's token-arrival semaphore
-        self._sems: dict[int, threading.Semaphore] = {}
+        #: controller's token-return lock (held while a rank runs)
+        self._controller = _held_lock()
+        #: rank -> that rank's token-arrival lock (held while it waits)
+        self._locks: dict[int, LockType] = {}
 
     # ------------------------------------------------------------------
     # carrier lifecycle
     # ------------------------------------------------------------------
     def start_proc(self, proc: Process) -> None:
-        if proc.rank in self._sems:
+        if proc.rank in self._locks:
             raise RuntimeError(f"{proc!r} already started")
         proc.state = ProcState.READY
         self._ready_add(proc)
-        self._sems[proc.rank] = threading.Semaphore(0)
+        self._locks[proc.rank] = _held_lock()
         # Carrier thread deferred to the first grant.
 
     def _ensure_carrier(self, proc: Process) -> None:
@@ -92,11 +99,19 @@ class SimtimeBackend(CooperativeBackend):
     # ------------------------------------------------------------------
     def _handoff(self, proc: Process) -> None:
         self._ensure_carrier(proc)
-        self._sems[proc.rank].release()
+        self._locks[proc.rank].release()
         self._controller.acquire()
 
     def _await(self, proc: Process) -> None:
-        self._sems[proc.rank].acquire()
+        self._locks[proc.rank].acquire()
 
     def _handback(self, proc: Process) -> None:
         self._controller.release()
+
+
+def _held_lock() -> LockType:
+    """A binary lock that starts held: ``release`` hands a token over,
+    ``acquire`` waits for one."""
+    lock = allocate_lock()
+    lock.acquire()
+    return lock

@@ -34,7 +34,7 @@ from .datatypes import (
     check_rank,
     check_tag,
 )
-from .errors import RequestError
+from .errors import RequestError, TruncationError
 from .locutil import caller_location
 from .message import Envelope, Message, copy_payload, payload_size
 from .process import WaitInfo, WaitKind
@@ -120,6 +120,11 @@ class Comm:
         The owning :class:`~repro.mp.runtime.Runtime`.
     last_op:
         :class:`OpDetail` of the most recent completed base operation.
+    entry_location:
+        The user call site of the operation being entered, set by an
+        instrumentation wrapper that already walked the stack for it
+        (None otherwise); the base implementation takes it instead of
+        walking the stack a second time.
     """
 
     def __init__(
@@ -141,6 +146,7 @@ class Comm:
         self.comm_id = comm_id
         self._group_rank = self.group.index(world_rank)
         self.last_op: Optional[OpDetail] = None
+        self.entry_location: Optional[SourceLocation] = None
         # >0 while executing inside a collective body; point-to-point
         # calls then accept reserved tags (collective plumbing).
         self._collective_depth = 0
@@ -160,6 +166,17 @@ class Comm:
     @property
     def proc(self):
         return self.runtime.procs[self.world_rank]
+
+    def _call_site(self) -> SourceLocation:
+        """Where the user issued the operation this base implementation
+        runs: the wrapper's ``entry_location`` if one was handed over,
+        else a stack walk.  Taking the handed-over location clears it, so
+        operations the body issues itself walk for their own."""
+        loc = self.entry_location
+        if loc is None:
+            return caller_location(skip=2)
+        self.entry_location = None
+        return loc
 
     # -- rank translation ----------------------------------------------
     def _to_world(self, rank: int, *, wildcard_ok: bool = False) -> int:
@@ -377,7 +394,7 @@ class Comm:
         proc.check_killed()
         check_tag(tag, reserved_ok=self._collective_depth > 0)
         dest = self._to_world(dest)
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         if dest == PROC_NULL:
             self._clock.advance(self._cost.send_overhead)
@@ -443,7 +460,7 @@ class Comm:
         proc.check_killed()
         check_tag(tag, wildcard_ok=True, reserved_ok=self._collective_depth > 0)
         source = self._to_world(source, wildcard_ok=True)
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         if source == PROC_NULL:
             self._clock.advance(self._cost.recv_overhead)
@@ -467,8 +484,6 @@ class Comm:
             count=payload_size(msg.payload),
         )
         if max_count is not None and st.count > max_count:
-            from .errors import TruncationError
-
             if status is not None:
                 status.set_from(st)
             raise TruncationError(expected=max_count, actual=st.count)
@@ -522,7 +537,7 @@ class Comm:
         proc.check_killed()
         check_tag(tag, reserved_ok=self._collective_depth > 0)
         dest = self._to_world(dest)
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         seq = self.runtime.next_seq(self.world_rank, dest, tag, self.comm_id)
         msg = Message(
@@ -553,7 +568,7 @@ class Comm:
         proc.check_killed()
         check_tag(tag, wildcard_ok=True, reserved_ok=self._collective_depth > 0)
         source = self._to_world(source, wildcard_ok=True)
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         pending = self._post_recv(source, tag, loc)
         self._clock.advance(self._cost.call_overhead)
@@ -567,7 +582,7 @@ class Comm:
         proc = self.proc
         proc.check_killed()
         request._check_reusable()
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         wait = WaitInfo(self.world_rank, WaitKind.REQUEST, ANY_SOURCE, ANY_TAG, loc)
         while not request.complete:
@@ -586,7 +601,7 @@ class Comm:
         proc = self.proc
         proc.check_killed()
         request._check_reusable()
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self._clock.advance(self._cost.probe_overhead)
         if not request.complete:
@@ -608,7 +623,7 @@ class Comm:
         requests: Sequence[Request],
         statuses: Optional[list[Status]] = None,
     ) -> list[Any]:
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         out: list[Any] = []
         for i, req in enumerate(requests):
@@ -632,7 +647,7 @@ class Comm:
         proc.check_killed()
         if not requests:
             raise RequestError("waitany on an empty request list")
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         # waitany call indexes are per PROCESS (not per communicator), so
         # replay keys are stable across comm splits.
@@ -666,7 +681,7 @@ class Comm:
     def pmpi_cancel(self, request: Request) -> bool:
         proc = self.proc
         proc.check_killed()
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self._clock.advance(self._cost.probe_overhead)
         ok = False
@@ -729,7 +744,7 @@ class Comm:
         proc.check_killed()
         check_tag(tag, wildcard_ok=True)
         source = self._to_world(source, wildcard_ok=True)
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         mailbox = self.runtime.mailboxes[self.world_rank]
         wait = WaitInfo(self.world_rank, WaitKind.RECV, source, tag, loc)
@@ -761,7 +776,7 @@ class Comm:
         proc.check_killed()
         check_tag(tag, wildcard_ok=True)
         source = self._to_world(source, wildcard_ok=True)
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self._clock.advance(self._cost.probe_overhead)
         msg = self.runtime.mailboxes[self.world_rank].probe(source, tag, self.comm_id)
@@ -792,7 +807,7 @@ class Comm:
         recvtag: int = ANY_TAG,
         status: Optional[Status] = None,
     ) -> Any:
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self.send(sendobj, dest, sendtag)
         out = self.recv(source, recvtag, status)
@@ -805,7 +820,7 @@ class Comm:
     # -- collectives ---------------------------------------------------------
     @_collective_impl
     def pmpi_barrier(self) -> None:
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self._clock.advance(self._cost.collective_overhead)
         tag = int(CollectiveTag.BARRIER)
@@ -825,7 +840,7 @@ class Comm:
     @_collective_impl
     def pmpi_bcast(self, obj: Any = None, root: int = 0) -> Any:
         check_rank(root, self.size)
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self._clock.advance(self._cost.collective_overhead)
         tag = int(CollectiveTag.BCAST)
@@ -847,7 +862,7 @@ class Comm:
         self, sendobjs: Optional[Sequence[Any]] = None, root: int = 0
     ) -> Any:
         check_rank(root, self.size)
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self._clock.advance(self._cost.collective_overhead)
         tag = int(CollectiveTag.SCATTER)
@@ -871,7 +886,7 @@ class Comm:
     @_collective_impl
     def pmpi_gather(self, obj: Any, root: int = 0) -> Optional[list[Any]]:
         check_rank(root, self.size)
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self._clock.advance(self._cost.collective_overhead)
         tag = int(CollectiveTag.GATHER)
@@ -891,7 +906,7 @@ class Comm:
 
     @_collective_impl
     def pmpi_allgather(self, obj: Any) -> list[Any]:
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         gathered = self.gather(obj, root=0)
         out = self.bcast(gathered, root=0)
@@ -908,7 +923,7 @@ class Comm:
         root: int = 0,
     ) -> Any:
         check_rank(root, self.size)
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         fold = op or operator.add
         tag = int(CollectiveTag.REDUCE)
@@ -944,7 +959,7 @@ class Comm:
     def pmpi_allreduce(
         self, obj: Any, op: Optional[Callable[[Any, Any], Any]] = None
     ) -> Any:
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         reduced = self.reduce(obj, op, root=0)
         out = self.bcast(reduced, root=0)
@@ -959,7 +974,7 @@ class Comm:
             raise ValueError(
                 f"alltoall needs exactly {self.size} objects, got {len(objs)}"
             )
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self._clock.advance(self._cost.collective_overhead)
         tag = int(CollectiveTag.ALLTOALL)
@@ -980,7 +995,7 @@ class Comm:
     def pmpi_scan(
         self, obj: Any, op: Optional[Callable[[Any, Any], Any]] = None
     ) -> Any:
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self._clock.advance(self._cost.collective_overhead)
         fold = op or operator.add
@@ -1000,7 +1015,7 @@ class Comm:
     # -- communicator management ------------------------------------------
     @_collective_impl
     def pmpi_split(self, color: Optional[int], key: int = 0) -> "Optional[Comm]":
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self._clock.advance(self._cost.collective_overhead)
         entries = self.gather((color, key, self.rank), root=0)
@@ -1038,7 +1053,7 @@ class Comm:
         proc.check_killed()
         if duration < 0:
             raise ValueError(f"compute duration must be >= 0, got {duration}")
-        loc = caller_location()
+        loc = self._call_site()
         t0 = self._clock.now
         self._clock.advance(duration)
         self.last_op = OpDetail(

@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .errors import InvalidRankError, InvalidTagError
+
 #: Wildcard source rank for :meth:`Comm.recv` (``MPI_ANY_SOURCE``).
 ANY_SOURCE: int = -1
 
@@ -106,8 +108,6 @@ def check_rank(rank: int, size: int, *, wildcard_ok: bool = False) -> None:
     ``PROC_NULL`` is always accepted; ``ANY_SOURCE`` only when
     ``wildcard_ok`` (i.e. for receive-side arguments).
     """
-    from .errors import InvalidRankError
-
     if rank == PROC_NULL:
         return
     if wildcard_ok and rank == ANY_SOURCE:
@@ -128,8 +128,6 @@ def check_tag(tag: int, *, wildcard_ok: bool = False, reserved_ok: bool = False)
     inside a collective implementation, which are allowed to use the
     reserved tag space above :data:`COLLECTIVE_TAG_BASE`.
     """
-    from .errors import InvalidTagError
-
     if wildcard_ok and tag == ANY_TAG:
         return
     if reserved_ok and is_reserved_tag(tag):

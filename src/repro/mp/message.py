@@ -8,13 +8,14 @@ virtual-time stamps for the time-space diagram.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from .datatypes import SourceLocation
+from .datatypes import ANY_SOURCE, ANY_TAG, SourceLocation
 
 _global_msg_ids = itertools.count()
 
@@ -117,8 +118,6 @@ class Message:
 
         ``source``/``tag`` may be the ``ANY_SOURCE``/``ANY_TAG`` wildcards.
         """
-        from .datatypes import ANY_SOURCE, ANY_TAG
-
         if source != ANY_SOURCE and self.envelope.src != source:
             return False
         if tag != ANY_TAG and self.envelope.tag != tag:
@@ -133,8 +132,6 @@ def copy_payload(payload: Any) -> Any:
     through; other containers are deep-copied.  This mirrors MPI's
     semantics where the send buffer may be reused after the send returns.
     """
-    import copy
-
     if payload is None or isinstance(
         payload, (int, float, complex, bool, str, bytes, frozenset)
     ):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+from .datatypes import ANY_SOURCE, ANY_TAG
 from .errors import ReplayDivergenceError
 from .message import Envelope
 
@@ -70,8 +71,6 @@ class CommLog:
         env = self.recv_matches.get((rank, post_index))
         if env is None:
             return
-        from .datatypes import ANY_SOURCE, ANY_TAG
-
         src_ok = source in (ANY_SOURCE, env.src)
         tag_ok = tag in (ANY_TAG, env.tag)
         if not (src_ok and tag_ok):

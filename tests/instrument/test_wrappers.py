@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro import mp
 from repro.apps import strassen as st
 from repro.instrument import WrapperLibrary, lifecycle_wrapper
+from repro.mp.errors import InvalidTagError
 from repro.trace import EventKind, TraceRecorder
 
 
@@ -111,6 +114,48 @@ class TestAutomaticCollection:
         lib.uninstall()
         rt.run(pingpong)
         assert len(recorder.snapshot()) == 0
+
+
+class TestCallSiteHandover:
+    """The wrapper walks the stack once and hands the call site to the
+    PMPI body; the body must record exactly what its own walk would."""
+
+    def test_record_and_message_share_the_user_line(self):
+        lines = {}
+
+        def prog(comm):
+            if comm.rank == 0:
+                lines["send"] = sys._getframe().f_lineno + 1
+                comm.send("x", dest=1, tag=3)
+            else:
+                comm.recv(source=0, tag=3)
+
+        _, tr = traced_run(prog, 2)
+        send = tr.of_kind(EventKind.SEND)[0]
+        recv = tr.of_kind(EventKind.RECV)[0]
+        assert send.location.lineno == lines["send"]
+        assert send.location.function == "prog"
+        assert recv.peer_location == send.location
+
+    def test_failed_op_does_not_leak_its_call_site(self):
+        lines = {}
+
+        def prog(comm):
+            if comm.rank == 0:
+                try:
+                    comm.send("x", dest=1, tag=-7)  # rejected before the body walks
+                except InvalidTagError:
+                    pass
+                assert comm.entry_location is None
+                lines["direct"] = sys._getframe().f_lineno + 1
+                comm.pmpi_send("direct", 1, 0)  # unwrapped: walks for itself
+            else:
+                return comm.recv(source=0)
+
+        rt, tr = traced_run(prog, 2)
+        assert rt.results()[1] == "direct"
+        recv = tr.of_kind(EventKind.RECV)[0]
+        assert recv.peer_location.lineno == lines["direct"]
 
 
 class TestStrassenTraceShape:

@@ -3,12 +3,17 @@ locations, envelope keys."""
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro import mp
 from repro.mp.clock import CostModel, VirtualClock
 from repro.mp.envelopeutil import envelope_key_str, parse_envelope_key
+from repro.mp import locutil
+from repro.mp.datatypes import SourceLocation
 from repro.mp.locutil import caller_location, is_infrastructure_file
 from repro.mp.message import Envelope, Message, copy_payload, payload_size
 
@@ -102,8 +107,6 @@ class TestEnvelopes:
 
 class TestLocUtil:
     def test_infrastructure_detection(self):
-        import os
-
         assert is_infrastructure_file(
             os.path.join("x", "repro", "mp", "comm.py")
         )
@@ -119,6 +122,72 @@ class TestLocUtil:
         loc = caller_location(skip=0)
         assert loc.filename.endswith("test_units.py")
         assert loc.function == "test_caller_location_points_here"
+
+    # -- the memoised walk agrees with an uncached one ---------------
+    @staticmethod
+    def _uncached_walk(frame, max_depth: int) -> SourceLocation:
+        """The walk with the substring test redone on every frame."""
+        depth = 0
+        while frame is not None and depth < max_depth:
+            filename = frame.f_code.co_filename
+            if not any(frag in filename for frag in locutil._INFRA_FRAGMENTS):
+                return SourceLocation(filename, frame.f_lineno, frame.f_code.co_name)
+            frame = frame.f_back
+            depth += 1
+        return SourceLocation.unknown()
+
+    def _infra_probe(self):
+        """``probe(max_depth)`` and ``nested(max_depth)`` compiled as if
+        they lived in ``repro/mp``: each returns (cached, uncached)
+        locations taken from the same frame."""
+        src = (
+            "def probe(max_depth=30):\n"
+            "    return (caller_location(skip=0, max_depth=max_depth),\n"
+            "            uncached(sys._getframe(0), max_depth))\n"
+            "def nested(max_depth):\n"
+            "    return probe(max_depth)\n"
+        )
+        path = os.path.join(os.sep, "x", "repro", "mp", "probe_module.py")
+        ns = {"caller_location": caller_location, "uncached": self._uncached_walk, "sys": sys}
+        exec(compile(src, path, "exec"), ns)
+        return ns["probe"], ns["nested"]
+
+    def test_cached_walk_matches_uncached_for_a_user_frame(self):
+        probe, _ = self._infra_probe()
+        for _ in range(2):  # second pass is served from the cache
+            cached, uncached = probe()
+            assert cached == uncached
+            assert cached.function == "test_cached_walk_matches_uncached_for_a_user_frame"
+            assert cached.filename.endswith("test_units.py")
+
+    def test_cached_walk_matches_uncached_for_exec_string(self):
+        probe, _ = self._infra_probe()
+        for _ in range(2):
+            ns = {"probe": probe}
+            exec("pad = 0\nresult = probe()\n", ns)
+            cached, uncached = ns["result"]
+            assert cached == uncached
+            assert (cached.filename, cached.lineno, cached.function) == (
+                "<string>", 2, "<module>"
+            )
+
+    def test_all_infrastructure_stack_is_unknown(self):
+        _, nested = self._infra_probe()
+        for _ in range(2):
+            # Both frames inside the walk window are infrastructure.
+            cached, uncached = nested(2)
+            assert cached == uncached == SourceLocation.unknown()
+
+    def test_cache_bounded_by_file_names(self):
+        probe, _ = self._infra_probe()
+        exec(compile("probe()\n", "<string>", "exec"), {"probe": probe})
+        size = len(locutil._verdicts)
+        for i in range(50):
+            # Fresh code objects every time, one shared file name.
+            program = f"def main_{i}():\n    return probe()\nmain_{i}()\n"
+            exec(compile(program, "<string>", "exec"), {"probe": probe})
+        assert len(locutil._verdicts) == size
+        assert locutil._verdicts["<string>"] is False
 
 
 class TestStatus:
