@@ -12,9 +12,9 @@ Two claims, each asserted and measured:
     recorded baseline (the >2x regression gate wired into CI).
 
 (b) the incrementally-built index (record-by-record, with interleaved
-    catch-up queries mid-stream) equals the batch-built reference on a
-    200k-event stream -- clocks, pairs, and unmatched lists
-    record-for-record.
+    catch-up queries mid-stream) equals the scalar oracles of
+    ``tests/oracles.py`` on a 200k-event stream -- clocks, pairs, and
+    unmatched lists record-for-record.
 
 Results land in ``benchmarks/results/history_index.txt``.
 """
@@ -31,7 +31,6 @@ from benchmarks.conftest import RESULTS_DIR, traced_run, write_artifact
 from repro.analysis import (
     HistoryIndex,
     analyze_frontiers,
-    compute_causal_order,
     critical_path,
     detect_races,
     ensure_index,
@@ -42,6 +41,7 @@ from repro.trace.trace import Trace
 
 from repro.mp.datatypes import SourceLocation
 from repro.trace import EventKind, TraceRecord
+from tests import oracles
 
 N_EVENTS = 200_000
 NPROCS = 8
@@ -181,14 +181,13 @@ def test_history_index_session_and_regression_gate(lu8_trace):
 
 
 def test_incremental_equals_batch_200k():
-    """(b): the sink-fed index equals batch derivation on a 200k-event
+    """(b): the sink-fed index equals the oracles on a 200k-event
     stream, with catch-up queries interleaved mid-stream."""
     records = list(synthesize_matched_records())
     n = len(records)
-    batch_trace = Trace(records, NPROCS)
     start = time.perf_counter()
-    batch_order = compute_causal_order(batch_trace)
-    batch_pairs = batch_trace.message_pairs()
+    want = oracles.matching(records)
+    want_clocks = oracles.clocks(records, NPROCS, want.send_of_recv)
     batch_wall = time.perf_counter() - start
 
     index = HistoryIndex(nprocs=NPROCS)
@@ -201,35 +200,31 @@ def test_incremental_equals_batch_200k():
     _ = index.clocks
     inc_wall = time.perf_counter() - start
 
-    np.testing.assert_array_equal(index.clocks, batch_order.clocks)
-    assert [(p.send.index, p.recv.index) for p in index.message_pairs()] == [
-        (p.send.index, p.recv.index) for p in batch_pairs
-    ]
-    assert sorted(r.index for r in index.unmatched_sends()) == sorted(
-        r.index for r in batch_trace.unmatched_sends()
-    )
-    assert [r.index for r in index.unmatched_recvs()] == [
-        r.index for r in batch_trace.unmatched_recvs()
-    ]
+    np.testing.assert_array_equal(index.clocks, want_clocks)
+    assert [
+        (p.send.index, p.recv.index) for p in index.message_pairs()
+    ] == want.pairs
+    assert [r.index for r in index.unmatched_sends()] == want.unmatched_sends
+    assert [r.index for r in index.unmatched_recvs()] == want.unmatched_recvs
     stats = index.stats()
     assert stats.clock_builds == 1
     assert stats.matching_builds == 1
     assert stats.clock_extends == n
     # the stream must actually exercise matching: most receives pair up,
     # and the dropped receives leave their sends unmatched
-    assert len(batch_pairs) > n // 4
-    assert len(batch_trace.unmatched_sends()) > 0
+    assert len(want.pairs) > n // 4
+    assert len(want.unmatched_sends) > 0
 
     write_artifact(
         "history_index_200k.txt",
         "\n".join([
-            "Incremental vs batch on a 200k-event stream",
+            "Incremental index vs the scalar oracle on a 200k-event stream",
             f"events: {n}, procs: {NPROCS}, "
-            f"pairs: {len(batch_pairs)}",
+            f"pairs: {len(want.pairs)}",
             "",
-            f"  batch derivation       : {batch_wall:8.3f}s",
+            f"  scalar oracle (batch)  : {batch_wall:8.3f}s",
             f"  incremental (streamed) : {inc_wall:8.3f}s "
             f"({inc_wall / n * 1e6:.1f} us/event)",
-            "  equality: clocks, pairs, unmatched lists identical",
+            "  equality: clocks, pairs, unmatched lists equal the oracle",
         ]),
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import analyze_frontiers, compute_causal_order
+from repro.analysis import analyze_frontiers
 from repro.apps import LUConfig, lu_program
 from repro.debugger import DebugSession, StoplinePlacement
 from repro.viz import build_diagram, render_ascii, save_svg
@@ -52,7 +52,9 @@ def main() -> None:
 
     # ==================================================================
     print("\n=== Part B: Figure 8 -- frontiers of a selected event ===")
-    order = compute_causal_order(trace)
+    # The trace's history index holds its vector clocks and matching;
+    # every analysis below shares them.
+    order = trace.history_index().order
     # "The user clicked at the point indicated by the circle": a receive
     # in the middle of the pipeline.
     target = [r for r in trace.by_proc(4) if r.is_recv][2]

@@ -11,12 +11,12 @@
 * :mod:`~repro.analysis.races` -- message-race detection and schedule
   exploration.
 * :mod:`~repro.analysis.history` -- the shared, incrementally-maintained
-  :class:`HistoryIndex` substrate every analysis above consumes.
+  :class:`HistoryIndex` substrate every analysis above consumes: the
+  package's one matcher and one vector-clock builder.
 """
 
-from .causality import CausalOrder, check_trace_causality, compute_causal_order
+from .causality import CausalOrder, check_trace_causality
 from .history import (
-    ENGINES,
     HistoryIndex,
     IndexSink,
     IndexStats,
@@ -72,7 +72,6 @@ __all__ = [
     "CausalOrder",
     "CommMatrix",
     "CriticalPath",
-    "ENGINES",
     "HistoryIndex",
     "IndexSink",
     "IndexStats",
@@ -103,7 +102,6 @@ __all__ = [
     "analyze_matching",
     "build_wait_graph",
     "check_trace_causality",
-    "compute_causal_order",
     "detect_races",
     "diagnose_missed_messages",
     "explore_schedules",

@@ -10,11 +10,13 @@ The causality relation the paper's features rest on (§4.1):
 the causality of communications in the trace file, i.e., no message was
 received before it was sent."
 
-Vector clocks are computed in one pass over the trace (recording order
-is a linearization of happens-before: a receive record is only appended
-after its matching send's record exists), stored as an ``(n_events,
-nprocs)`` NumPy array for O(1) comparisons and vectorized past/future
-closures.
+The vector clocks are built by the one clock builder in the package,
+:class:`~repro.analysis.history.HistoryIndex` (recording order is a
+linearization of happens-before: a receive record is only appended
+after its matching send's record exists), and stored as an
+``(n_events, nprocs)`` NumPy array for O(1) comparisons and vectorized
+past/future closures.  ``trace.history_index().order`` is the
+:class:`CausalOrder` of a trace.
 """
 
 from __future__ import annotations
@@ -38,17 +40,9 @@ class CausalOrder:
 
     trace: Trace
     clocks: np.ndarray  # (n_events, nprocs), dtype int64
-    #: per-record proc column (int64), derived lazily when not supplied.
-    #: A HistoryIndex hands in its column-store view so closure queries
-    #: never pay the O(n) Python attribute walk.
-    procs: Optional[np.ndarray] = None
-
-    def _proc_column(self) -> np.ndarray:
-        if self.procs is None:
-            self.procs = np.fromiter(
-                (r.proc for r in self.trace), dtype=np.int64, count=len(self.trace)
-            )
-        return self.procs
+    #: per-record proc column (int64); the index hands in its column
+    #: store so closure queries never walk the records
+    procs: np.ndarray
 
     # ------------------------------------------------------------------
     # pairwise relations
@@ -81,9 +75,8 @@ class CausalOrder:
         "The past of the event is defined as the set of events that are
         guaranteed to have happened before it."
         """
-        procs = self._proc_column()
-        own = self.clocks[np.arange(len(self.trace)), procs]
-        mask = own <= self.clocks[e, procs]
+        own = self.clocks[np.arange(len(self.trace)), self.procs]
+        mask = own <= self.clocks[e, self.procs]
         mask[e] = False
         return np.nonzero(mask)[0]
 
@@ -109,34 +102,6 @@ class CausalOrder:
     # ------------------------------------------------------------------
     def vector_of(self, e: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self.clocks[e])
-
-
-def compute_causal_order(trace: Trace) -> CausalOrder:
-    """One-pass vector-clock computation over a trace.
-
-    Every record counts as an event on its process (component +1); a
-    receive additionally joins the clock of its matched send.  Records
-    are visited in per-process program order interleaved so that every
-    receive is visited after its send (guaranteed because trace indexes
-    are assigned in a causal linearization).
-    """
-    n = len(trace)
-    nprocs = trace.nprocs
-    clocks = np.zeros((n, nprocs), dtype=np.int64)
-    current = np.zeros((nprocs, nprocs), dtype=np.int64)  # per-proc running VC
-
-    send_of_recv: dict[int, int] = {
-        pair.recv.index: pair.send.index for pair in trace.message_pairs()
-    }
-
-    for rec in trace:  # trace order = causal linearization
-        p = rec.proc
-        current[p, p] += 1
-        if rec.index in send_of_recv:
-            s = send_of_recv[rec.index]
-            np.maximum(current[p], clocks[s], out=current[p])
-        clocks[rec.index] = current[p]
-    return CausalOrder(trace=trace, clocks=clocks)
 
 
 def check_trace_causality(trace: Trace, index=None) -> Optional[str]:

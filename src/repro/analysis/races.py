@@ -17,6 +17,10 @@ other send could have been delivered instead.  Two detectors:
 * :func:`explore_schedules` -- empirical: rerun the program under many
   seeded random schedules and report how many distinct matchings occur
   (1 means no schedule-visible race for the seeds tried).
+
+:func:`detect_races` has one implementation, the columnar kernel below;
+``tests/oracles.py`` keeps the per-(receive, send) version the tests
+compare it to.
 """
 
 from __future__ import annotations
@@ -82,7 +86,6 @@ def detect_races(
     order: Optional[CausalOrder] = None,
     include_tag_wildcards: bool = True,
     index: "Optional[HistoryIndex]" = None,
-    engine: Optional[str] = None,
 ) -> list[MessageRace]:
     """All wildcard receives with at least one racing alternative.
 
@@ -99,84 +102,33 @@ def detect_races(
     a precomputed ``order=``) when a caller already holds one; a bare
     trace memoizes the index so nothing is derived twice either way.
 
-    ``engine`` defaults to the index's engine.  The numpy kernel builds
-    one candidate mask over the send (dst, src, tag) columns per
-    wildcard receive and evaluates happens-before for *all* sends at
-    once against the clock matrix; the python kernel is the O(receives
-    x sends) per-pair reference.  Both report wall-clock into the
-    index's per-kernel stats (``races[<engine>]``).
+    The kernel runs over the index's column store.  Per wildcard
+    receive ``r`` on process ``pr``, the racing-send set is one boolean
+    mask over the send columns: ``dst == pr`` (narrowed by the posted
+    source/tag when not wildcarded), minus the matched send, intersected
+    with NOT ``r -> s2``.  The happens-before test for all sends at once
+    is the standard vector-clock comparison against row ``pr`` of the
+    clock matrix: ``r -> s2`` iff ``clocks[r, pr] <= clocks[s2, pr]``,
+    so the *negation* is a single ``<`` over the precomputed send-clock
+    column.  Wall-clock time is reported into the index's per-kernel
+    stats (``races``).
     """
-    from .history import ENGINES, ensure_index
+    from .history import ensure_index
 
     idx = ensure_index(trace, index=index)
-    eng = engine if engine is not None else idx.engine
-    if eng not in ENGINES:
-        raise ValueError(f"unknown engine {eng!r}; expected one of {ENGINES}")
     start = time.perf_counter()
     try:
-        if eng == "python":
-            races = _detect_races_python(idx, order, include_tag_wildcards)
-        else:
-            races = _detect_races_numpy(idx, order, include_tag_wildcards)
+        return _detect_races(idx, order, include_tag_wildcards)
     finally:
-        idx.record_kernel(f"races[{eng}]", time.perf_counter() - start)
-    return races
+        idx.record_kernel("races", time.perf_counter() - start)
 
 
-def _detect_races_python(
+def _detect_races(
     idx: "HistoryIndex",
     order: Optional[CausalOrder],
     include_tag_wildcards: bool,
 ) -> list[MessageRace]:
-    """Reference kernel: per-pair ``happens_before`` calls."""
-    trace = idx.trace
-    if order is None:
-        order = idx.order
-    pairs = {p.recv.index: p.send for p in idx.message_pairs()}
-    sends = [r for r in trace if r.is_send]
-    races: list[MessageRace] = []
-    for rec in trace:
-        if not rec.is_recv or not is_wildcard_recv(rec):
-            continue
-        psrc, ptag = _posted_pattern(rec)
-        if psrc != ANY_SOURCE and not include_tag_wildcards:
-            continue
-        matched = pairs.get(rec.index)
-        if matched is None:
-            continue
-        alternatives = []
-        for s2 in sends:
-            if s2.index == matched.index or s2.dst != rec.proc:
-                continue
-            if psrc not in (ANY_SOURCE, s2.src):
-                continue
-            if ptag not in (ANY_TAG, s2.tag):
-                continue
-            if not order.happens_before(rec.index, s2.index):
-                alternatives.append(s2)
-        if alternatives:
-            races.append(
-                MessageRace(recv=rec, matched_send=matched, alternatives=alternatives)
-            )
-    return races
-
-
-def _detect_races_numpy(
-    idx: "HistoryIndex",
-    order: Optional[CausalOrder],
-    include_tag_wildcards: bool,
-) -> list[MessageRace]:
-    """Vectorized kernel over the index's column store.
-
-    Per wildcard receive ``r`` on process ``pr``, the racing-send set is
-    one boolean mask over the send columns: ``dst == pr`` (narrowed by
-    the posted source/tag when not wildcarded), minus the matched send,
-    intersected with NOT ``r -> s2``.  The happens-before test for all
-    sends at once is the standard vector-clock comparison against row
-    ``pr`` of the clock matrix: ``r -> s2`` iff
-    ``clocks[r, pr] <= clocks[s2, pr]``, so the *negation* is a single
-    ``<`` over the precomputed send-clock column.
-    """
+    """The column-store kernel behind :func:`detect_races`."""
     from .history import RECV_CODES, SEND_CODES
 
     trace = idx.trace

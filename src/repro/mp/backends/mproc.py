@@ -33,15 +33,13 @@ Architecture
 * **Merge-free trace recording.**  With ``trace_path`` set, each forked
   rank carries its own :class:`~repro.trace.recorder.TraceRecorder`
   stamping disjoint global indices (``index_start=rank,
-  index_step=nprocs``) through the instrumented wrapper library.  In
-  ``trace_mode="shard"`` (the default) every worker streams its records
-  straight into its own shard file -- compression-aware, bounded
-  memory -- and the parent's only job at exit is writing the one-line
-  manifest from the workers' reported shard stats (falling back to
+  index_step=nprocs``) through the instrumented wrapper library.  Every
+  worker streams its records straight into its own shard file --
+  compression-aware, bounded memory -- and the parent's only job at
+  exit is writing the one-line manifest from the workers' reported
+  shard stats (falling back to
   :func:`~repro.trace.shard.scan_shard_info` for a worker that died
-  without reporting).  ``trace_mode="merge"`` keeps the legacy shape:
-  records come back pickled in the exit report and the parent merges
-  them by global index into a single trace file.
+  without reporting).
 
 * **Deadlock detection.**  Counting-based with confirmation: a blocked
   worker reports its wait description plus (puts, gots) transfer
@@ -58,7 +56,6 @@ Architecture
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import os
 import pickle
@@ -66,7 +63,6 @@ import queue as queue_mod
 import time
 import traceback
 from itertools import count
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -328,23 +324,19 @@ def _worker_main(
         from repro.trace.sinks import FileSink
         from repro.trace.tracefile import TraceFileWriter
 
-        mode, shard_path, compression, flush_every = trace_cfg
+        shard_path, compression, flush_every = trace_cfg
         # index_start=rank / index_step=nprocs mints this rank's disjoint
         # slice of the global index space with zero coordination, so the
         # per-rank streams merge back into one strictly increasing order.
         recorder = TraceRecorder(
-            nprocs,
-            memory_limit=1 if mode == "shard" else None,
-            index_start=rank,
-            index_step=nprocs,
+            nprocs, memory_limit=1, index_start=rank, index_step=nprocs
         )
         WrapperLibrary(wrt, recorder)
         target = lifecycle_wrapper(recorder)(target, rank)
-        if mode == "shard":
-            writer = TraceFileWriter(
-                shard_path, nprocs, flush_every, compression=compression
-            )
-            recorder.subscribe(FileSink(writer, own=False))
+        writer = TraceFileWriter(
+            shard_path, nprocs, flush_every, compression=compression
+        )
+        recorder.subscribe(FileSink(writer, own=False))
 
     proc.target = target
     comm = Comm(wrt, rank)
@@ -353,32 +345,27 @@ def _worker_main(
     proc.run_target()
 
     trace_stats: Optional[dict] = None
-    trace_records_data: Optional[bytes] = None
     if recorder is not None:
         try:
             recorder.flush()
-            if writer is not None:
-                writer.close()
-                index = writer._build_index()
-                procs: frozenset[int] = (
-                    frozenset().union(*(b.procs for b in index.blocks))
-                    if index.blocks
-                    else frozenset()
-                )
-                trace_stats = {
-                    "records": index.records,
-                    "t_min": index.t_min,
-                    "t_max": index.t_max,
-                    "procs": sorted(procs),
-                    "nbytes": os.stat(shard_path).st_size,
-                }
-            else:
-                trace_records_data = pickle.dumps(recorder.records)
+            writer.close()
+            index = writer._build_index()
+            procs: frozenset[int] = (
+                frozenset().union(*(b.procs for b in index.blocks))
+                if index.blocks
+                else frozenset()
+            )
+            trace_stats = {
+                "records": index.records,
+                "t_min": index.t_min,
+                "t_max": index.t_max,
+                "procs": sorted(procs),
+                "nbytes": os.stat(shard_path).st_size,
+            }
         except Exception:
             # A broken trace must not eat the rank's exit report; the
             # parent falls back to scanning the shard file directly.
             trace_stats = None
-            trace_records_data = None
 
     result_data: Optional[bytes] = None
     result_repr: Optional[str] = None
@@ -420,7 +407,6 @@ def _worker_main(
                 "puts": wrt.puts,
                 "gots": wrt.gots,
                 "trace": trace_stats,
-                "trace_records": trace_records_data,
             },
         )
     )
@@ -442,7 +428,6 @@ class MprocBackend(ExecutionBackend):
         max_grants: Optional[int] = None,
         *,
         trace_path: Optional[Union[str, Path]] = None,
-        trace_mode: str = "shard",
         trace_compression: Union[None, bool, str] = "auto",
         trace_flush_every: Optional[int] = 4096,
     ) -> None:
@@ -450,19 +435,12 @@ class MprocBackend(ExecutionBackend):
         # The OS schedules workers preemptively: scheduling policies and
         # grant budgets have no token to act on and are ignored.
         del policy, seed, max_grants
-        if trace_mode not in ("shard", "merge"):
-            raise ValueError(
-                f"trace_mode must be 'shard' or 'merge', got {trace_mode!r}"
-            )
-        #: manifest (shard mode) / trace file (merge mode) destination
+        #: manifest destination; the per-rank shards sit next to it
         self.trace_path = Path(trace_path) if trace_path is not None else None
-        self.trace_mode = trace_mode
         self._trace_compression = trace_compression
         self._trace_flush_every = trace_flush_every
         #: rank -> shard stats reported in the worker's exit payload
         self._trace_reports: dict[int, dict] = {}
-        #: rank -> materialized records (merge mode only)
-        self._trace_records: dict[int, tuple] = {}
         self._shard_paths: list[Path] = []
         self._trace_finalized = False
         try:
@@ -509,25 +487,17 @@ class MprocBackend(ExecutionBackend):
             rt.comms.append(comm)
         trace_cfgs: list[Optional[tuple]] = [None] * nprocs
         if self.trace_path is not None:
-            if self.trace_mode == "shard":
-                from repro.trace.shard import SHARD_TEMPLATE
+            from repro.trace.shard import SHARD_TEMPLATE
 
-                self._shard_paths = [
-                    self.trace_path.parent
-                    / SHARD_TEMPLATE.format(stem=self.trace_path.stem, num=rank)
-                    for rank in range(nprocs)
-                ]
-                trace_cfgs = [
-                    (
-                        "shard",
-                        str(path),
-                        self._trace_compression,
-                        self._trace_flush_every,
-                    )
-                    for path in self._shard_paths
-                ]
-            else:
-                trace_cfgs = [("merge", None, None, None)] * nprocs
+            self._shard_paths = [
+                self.trace_path.parent
+                / SHARD_TEMPLATE.format(stem=self.trace_path.stem, num=rank)
+                for rank in range(nprocs)
+            ]
+            trace_cfgs = [
+                (str(path), self._trace_compression, self._trace_flush_every)
+                for path in self._shard_paths
+            ]
         for rank, target in enumerate(targets):
             worker = self._ctx.Process(
                 target=_worker_main,
@@ -643,12 +613,6 @@ class MprocBackend(ExecutionBackend):
         stats = payload.get("trace")
         if stats is not None:
             self._trace_reports[rank] = stats
-        data = payload.get("trace_records")
-        if data is not None:
-            try:
-                self._trace_records[rank] = pickle.loads(data)
-            except Exception:
-                pass
 
     def _drain_exited_queues(self) -> None:
         """Consume traffic addressed to ranks that already exited, so the
@@ -780,56 +744,35 @@ class MprocBackend(ExecutionBackend):
                 self._capture_trace_payload(item[1], item[2])
 
     def _finalize_trace(self) -> None:
-        """Write the manifest (shard mode) or the merged file (merge
-        mode) exactly once, after the workers are done."""
+        """Write the manifest exactly once, after the workers are done."""
         if self.trace_path is None or self._trace_finalized:
             return
         self._trace_finalized = True
         rt = self.runtime
         nprocs = len(rt.procs) if rt is not None else len(self._workers)
-        if self.trace_mode == "shard":
-            from repro.trace.shard import (
-                ShardInfo,
-                scan_shard_info,
-                write_manifest,
-            )
+        from repro.trace.shard import ShardInfo, scan_shard_info, write_manifest
 
-            infos = []
-            for rank, shard_path in enumerate(self._shard_paths):
-                stats = self._trace_reports.get(rank)
-                if stats is not None:
-                    infos.append(
-                        ShardInfo(
-                            path=shard_path.name,
-                            records=stats["records"],
-                            t_min=stats["t_min"],
-                            t_max=stats["t_max"],
-                            procs=frozenset(stats["procs"]),
-                            nbytes=stats["nbytes"],
-                        )
+        infos = []
+        for rank, shard_path in enumerate(self._shard_paths):
+            stats = self._trace_reports.get(rank)
+            if stats is not None:
+                infos.append(
+                    ShardInfo(
+                        path=shard_path.name,
+                        records=stats["records"],
+                        t_min=stats["t_min"],
+                        t_max=stats["t_max"],
+                        procs=frozenset(stats["procs"]),
+                        nbytes=stats["nbytes"],
                     )
-                    continue
-                # The worker died before reporting (or its report was
-                # lost): recover what its shard file actually holds.
-                info = scan_shard_info(shard_path)
-                if info is not None:
-                    infos.append(info)
-            write_manifest(self.trace_path, nprocs, infos, by="proc")
-        else:
-            from repro.trace.tracefile import TraceFileWriter
-
-            streams = [
-                self._trace_records.get(rank, ()) for rank in range(nprocs)
-            ]
-            merged = heapq.merge(*streams, key=attrgetter("index"))
-            with TraceFileWriter(
-                self.trace_path,
-                nprocs,
-                self._trace_flush_every,
-                compression=self._trace_compression,
-            ) as writer:
-                for rec in merged:
-                    writer.write(rec)
+                )
+                continue
+            # The worker died before reporting (or its report was lost):
+            # recover what its shard file actually holds.
+            info = scan_shard_info(shard_path)
+            if info is not None:
+                infos.append(info)
+        write_manifest(self.trace_path, nprocs, infos, by="proc")
 
     # ------------------------------------------------------------------
     # teardown

@@ -114,45 +114,16 @@ class Trace:
     # message matching (Section 3.2: unique under non-overtaking)
     # ------------------------------------------------------------------
     def _match_messages(self) -> None:
-        # A bound history index (repro.analysis.history) already holds
-        # the matching for this exact history -- adopt it instead of
-        # re-deriving.
-        index = self._history_index
-        if (
-            index is not None
-            and not getattr(index, "stale", False)
-            and len(index) == len(self._records)
-        ):
-            self._pairs = index.message_pairs()
-            self._unmatched_sends = index.unmatched_sends()
-            self._unmatched_recvs = index.unmatched_recvs()
-            return
-        sends: dict[tuple[int, int, int, int], TraceRecord] = {}
-        pairs: list[MessagePair] = []
-        matched_send_keys: set[tuple[int, int, int, int]] = set()
-        unmatched_recvs: list[TraceRecord] = []
-        for rec in self._records:
-            if rec.is_send:
-                sends[rec.message_key()] = rec
-        for rec in self._records:
-            if rec.is_recv:
-                key = rec.message_key()
-                send = sends.get(key)
-                if send is None:
-                    unmatched_recvs.append(rec)
-                else:
-                    pairs.append(MessagePair(send, rec))
-                    matched_send_keys.add(key)
-        self._pairs = pairs
-        self._unmatched_sends = [
-            rec
-            for rec in self._records
-            if rec.is_send and rec.message_key() not in matched_send_keys
-        ]
-        self._unmatched_recvs = unmatched_recvs
+        # The history index is the one matcher.  Its lists are live and
+        # grow with the index, so this immutable trace keeps copies.
+        index = self.history_index()
+        self._pairs = list(index.message_pairs())
+        self._unmatched_sends = list(index.unmatched_sends())
+        self._unmatched_recvs = list(index.unmatched_recvs())
 
     def message_pairs(self) -> list[MessagePair]:
-        """All matched (send, recv) record pairs."""
+        """All matched (send, recv) record pairs, in receive order, as
+        the history index matches them."""
         if self._pairs is None:
             self._match_messages()
         assert self._pairs is not None

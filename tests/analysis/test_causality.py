@@ -1,17 +1,24 @@
-"""Vector clocks, happens-before, and frontiers."""
+"""Vector clocks, happens-before, and frontiers.
+
+The causal order under test is the index's (``trace.history_index()
+.order``); message pairs used to check it come from the scalar oracle
+in ``tests/oracles.py``, never from the index itself.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+import numpy as np
+
 from repro.analysis import (
     analyze_frontiers,
     check_trace_causality,
-    compute_causal_order,
     is_consistent_frontier,
 )
 from repro.apps import LUConfig, lu_program
 from repro.apps import strassen as st
+from tests import oracles
 from tests.conftest import traced_run
 
 
@@ -33,7 +40,7 @@ def pipeline():
             comm.recv(source=1)
 
     _, tr = traced_run(prog, 3)
-    return tr, compute_causal_order(tr)
+    return tr, tr.history_index().order
 
 
 class TestHappensBefore:
@@ -46,8 +53,14 @@ class TestHappensBefore:
 
     def test_message_order(self, pipeline):
         tr, order = pipeline
-        for pair in tr.message_pairs():
-            assert order.happens_before(pair.send.index, pair.recv.index)
+        pairs = oracles.matching(tr).pairs
+        assert pairs
+        for send, recv in pairs:
+            assert order.happens_before(send, recv)
+
+    def test_clocks_equal_oracle(self, pipeline):
+        tr, order = pipeline
+        np.testing.assert_array_equal(order.clocks, oracles.causal_order(tr).clocks)
 
     def test_transitivity_across_hops(self, pipeline):
         tr, order = pipeline
@@ -88,7 +101,7 @@ class TestFrontiers:
     def lu_analysis(self):
         cfg = LUConfig(grid=16, nprocs=8, sweeps=3)
         _, tr = traced_run(lu_program(cfg), 8)
-        order = compute_causal_order(tr)
+        order = tr.history_index().order
         # Pick a mid-trace receive on a middle rank (the Figure 8 click).
         target = [r for r in tr.by_proc(4) if r.is_recv][2]
         return tr, order, analyze_frontiers(tr, target.index, order)
@@ -150,20 +163,16 @@ class TestFrontiers:
     def test_send_recv_pair_is_consistent_cut(self, pipeline):
         """A cut containing both a send and its receive is consistent."""
         tr, order = pipeline
-        pair = tr.message_pairs()[0]
-        assert is_consistent_frontier(
-            tr, [pair.send.index, pair.recv.index], order
-        )
+        send, recv = oracles.matching(tr).pairs[0]
+        assert is_consistent_frontier(tr, [send, recv], order)
 
     def test_inconsistent_cut_detected(self, pipeline):
         """A receive inside the cut with its send outside is not."""
         tr, order = pipeline
-        pair = tr.message_pairs()[0]
-        before_send = tr.by_proc(pair.send.proc)[0]
-        assert before_send.index != pair.send.index
-        assert not is_consistent_frontier(
-            tr, [before_send.index, pair.recv.index], order
-        )
+        send, recv = oracles.matching(tr).pairs[0]
+        before_send = tr.by_proc(tr[send].proc)[0]
+        assert before_send.index != send
+        assert not is_consistent_frontier(tr, [before_send.index, recv], order)
 
     def test_two_events_one_process_rejected(self, pipeline):
         tr, order = pipeline
@@ -177,7 +186,7 @@ class TestStrassenCausality:
     def test_master_sends_precede_all_worker_activity(self):
         cfg = st.StrassenConfig(n=8, nprocs=4)
         _, tr = traced_run(st.strassen_program(cfg), 4)
-        order = compute_causal_order(tr)
+        order = tr.history_index().order
         first_send = next(r for r in tr.by_proc(0) if r.is_send)
         # The first operand send precedes the result receive it enables.
         result_recvs = [r for r in tr.by_proc(0) if r.is_recv]

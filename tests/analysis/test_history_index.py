@@ -2,12 +2,13 @@
 
 Covers the tentpole invariants:
 
-* incremental (record-by-record) index state equals the batch-derived
-  reference (``compute_causal_order`` + ``Trace._match_messages``);
+* incremental (record-by-record) index state equals the scalar
+  oracles of ``tests/oracles.py`` (clocks, matching);
 * a multi-analysis session (stopline -> frontiers -> races -> critical
   path) performs exactly one vector-clock build and one matching build,
   asserted via ``HistoryIndex.stats()``;
-* ``ensure_index`` memoizes one index per Trace object;
+* ``ensure_index`` memoizes one index per Trace object, and a trace
+  snapshot never reads an index that has grown past it;
 * ``Trace.span`` is computed once and cached;
 * the vectorized ``is_antichain`` agrees with the pairwise
   ``happens_before`` definition;
@@ -19,11 +20,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tests import oracles
 from tests.conftest import traced_run
 from repro.analysis import (
     HistoryIndex,
     StaleIndexError,
-    compute_causal_order,
     critical_path,
     detect_races,
     ensure_index,
@@ -54,8 +55,8 @@ def ring_trace():
 # ----------------------------------------------------------------------
 def test_incremental_equals_batch_clocks_and_matching(lu_trace):
     """Feeding records one at a time (with interleaved queries forcing
-    repeated catch-ups) yields the exact batch-derived state."""
-    batch_order = compute_causal_order(lu_trace)
+    repeated catch-ups) yields the oracle's state exactly."""
+    want = oracles.matching(lu_trace)
     index = HistoryIndex(nprocs=lu_trace.nprocs)
     for k, rec in enumerate(lu_trace):
         index.extend(rec)
@@ -64,16 +65,14 @@ def test_incremental_equals_batch_clocks_and_matching(lu_trace):
             index.message_pairs()
             _ = index.clocks
     assert len(index) == len(lu_trace)
-    np.testing.assert_array_equal(index.clocks, batch_order.clocks)
-    assert [(p.send.index, p.recv.index) for p in index.message_pairs()] == [
-        (p.send.index, p.recv.index) for p in lu_trace.message_pairs()
-    ]
-    assert [r.index for r in index.unmatched_sends()] == sorted(
-        r.index for r in lu_trace.unmatched_sends()
+    np.testing.assert_array_equal(
+        index.clocks, oracles.clocks(lu_trace, lu_trace.nprocs, want.send_of_recv)
     )
-    assert [r.index for r in index.unmatched_recvs()] == [
-        r.index for r in lu_trace.unmatched_recvs()
-    ]
+    assert [
+        (p.send.index, p.recv.index) for p in index.message_pairs()
+    ] == want.pairs
+    assert [r.index for r in index.unmatched_sends()] == want.unmatched_sends
+    assert [r.index for r in index.unmatched_recvs()] == want.unmatched_recvs
     # catch-ups extended the components; they never rebuilt them
     stats = index.stats()
     assert stats.clock_builds == 1
@@ -135,11 +134,42 @@ def test_ensure_index_memoizes_on_trace(ring_trace):
 
 
 def test_trace_adopts_bound_index_matching(ring_trace):
-    """Trace.message_pairs() reuses the bound index's matching instead of
-    re-deriving (the back-compat seam)."""
+    """Trace.message_pairs() answers from the bound index (the one
+    matcher) and keeps a copy, not the index's live list."""
     index = ensure_index(ring_trace)
     pairs = index.message_pairs()
-    assert ring_trace.message_pairs() is pairs
+    assert ring_trace.message_pairs() == pairs
+    assert ring_trace.message_pairs() is not pairs
+    assert index.stats().matching_builds == 1
+
+
+def test_stale_snapshot_ignores_grown_index(ring_trace):
+    """A Trace snapshot taken from a live index keeps answering for its
+    own records after the index grows: neither the memoized index nor
+    the index's live matching lists leak the newer records into it."""
+    records = list(ring_trace)
+    first_recv = next(r.index for r in records if r.is_recv)
+    head = records[: first_recv + 1]
+    index = HistoryIndex(head, nprocs=ring_trace.nprocs)
+    snapshot = index.trace
+    want = oracles.matching(head)
+    assert [(p.send.index, p.recv.index) for p in snapshot.message_pairs()] == (
+        want.pairs
+    )
+    index.extend_many(records[first_recv + 1:])
+    index.message_pairs()  # the index catches up past the snapshot
+    assert len(snapshot) == len(head)
+    assert [(p.send.index, p.recv.index) for p in snapshot.message_pairs()] == (
+        want.pairs
+    )
+    assert [r.index for r in snapshot.unmatched_sends()] == want.unmatched_sends
+    assert [r.index for r in snapshot.unmatched_recvs()] == want.unmatched_recvs
+    fresh = ensure_index(snapshot)
+    assert fresh is not index and len(fresh) == len(head)
+    path = critical_path(snapshot)
+    assert [r.index for r in path.records] == [
+        r.index for r in oracles.critical_path(head).records
+    ]
 
 
 def test_index_from_stream_without_trace():
@@ -251,19 +281,6 @@ def test_column_store_mirrors_records(ring_trace):
     assert cols["seq"].tolist() == [r.seq for r in ring_trace]
 
 
-def test_engine_validation_and_selection(ring_trace):
-    with pytest.raises(ValueError, match="engine"):
-        HistoryIndex(nprocs=2, engine="fortran")
-    py = HistoryIndex.from_trace(ring_trace, engine="python")
-    vec = HistoryIndex.from_trace(ring_trace, engine="numpy")
-    assert py.stats().engine == "python"
-    assert vec.stats().engine == "numpy"
-    np.testing.assert_array_equal(py.clocks, vec.clocks)
-    assert [r.index for r in py.unmatched_sends()] == [
-        r.index for r in vec.unmatched_sends()
-    ]
-
-
 def test_window_index_is_incremental(ring_trace):
     index = HistoryIndex(nprocs=ring_trace.nprocs)
     half = len(ring_trace) // 2
@@ -288,7 +305,7 @@ def test_kernel_stats_surfaced(ring_trace):
     detect_races(ring_trace, index=index)
     critical_path(ring_trace, index=index)
     stats = index.stats()
-    assert stats.kernel_calls.get("races[numpy]") == 1
-    assert stats.kernel_calls.get("critical_path[numpy]") == 1
+    assert stats.kernel_calls.get("races") == 1
+    assert stats.kernel_calls.get("critical_path") == 1
     text = stats.as_text()
-    assert "races[numpy]" in text and "engine=numpy" in text
+    assert "kernel races" in text and "kernel critical_path" in text

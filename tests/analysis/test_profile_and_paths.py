@@ -154,10 +154,10 @@ class TestCriticalPath:
         assert cp.records and all(r.proc == cp.records[0].proc for r in cp.records)
 
     def test_path_is_causal_chain(self, strassen_trace):
-        from repro.analysis import compute_causal_order
+        from tests import oracles
 
         cp = critical_path(strassen_trace)
-        order = compute_causal_order(strassen_trace)
+        order = oracles.causal_order(strassen_trace)
         for a, b in zip(cp.records, cp.records[1:]):
             assert order.happens_before(a.index, b.index)
 

@@ -1,7 +1,7 @@
-"""Race-engine parity, steering edge cases, and sweep hygiene.
+"""Race-kernel parity, steering edge cases, and sweep hygiene.
 
-Regression tests for the explorer-adjacent bugfixes: python/numpy race
-kernel agreement on tag-only wildcards, the forcing-log misalignment
+Regression tests for the explorer-adjacent bugfixes: race-kernel
+agreement with the scalar oracle on tag-only wildcards, the forcing-log misalignment
 check, unsteerable alternatives, the marker-extended fingerprint, and
 ``explore_schedules`` backend pass-through / crash-path shutdown.
 """
@@ -18,6 +18,7 @@ from repro.analysis import detect_races, explore_schedules, matching_fingerprint
 from repro.analysis.races import UnsteerableAlternativeError, steer_to_alternative
 from repro.apps import master_worker_program
 from repro.mp.datatypes import ANY_SOURCE, ANY_TAG
+from tests import oracles
 from tests.conftest import traced_run
 
 
@@ -44,7 +45,7 @@ def two_source_program(comm):
 
 
 def race_shape(races):
-    """Engine-comparable summary: (recv, matched, sorted alternatives)."""
+    """Comparable summary: (recv, matched, sorted alternatives)."""
     return [
         (
             r.recv.index,
@@ -59,25 +60,25 @@ class TestEngineParity:
     @pytest.mark.parametrize("include_tag", [True, False])
     def test_tag_only_wildcards(self, include_tag):
         _, tr = traced_run(tag_wildcard_program, 2)
-        py = detect_races(tr, engine="python", include_tag_wildcards=include_tag)
-        np_ = detect_races(tr, engine="numpy", include_tag_wildcards=include_tag)
-        assert race_shape(py) == race_shape(np_)
+        got = detect_races(tr, include_tag_wildcards=include_tag)
+        want = oracles.races(tr, include_tag_wildcards=include_tag)
+        assert race_shape(got) == race_shape(want)
         if include_tag:
             # Both ANY_TAG receives race: the other tag's send is causally
             # concurrent with each receive.
-            assert len(py) == 2
+            assert len(got) == 2
         else:
             # posted_src is concrete, so excluding tag wildcards must
-            # drop these races entirely -- in BOTH engines.
-            assert py == []
+            # drop these races entirely.
+            assert got == []
 
     @pytest.mark.parametrize("include_tag", [True, False])
     def test_master_worker(self, include_tag):
         _, tr = traced_run(master_worker_program(n_tasks=8), 4)
-        py = detect_races(tr, engine="python", include_tag_wildcards=include_tag)
-        np_ = detect_races(tr, engine="numpy", include_tag_wildcards=include_tag)
-        assert race_shape(py) == race_shape(np_)
-        assert py, "the wildcard master always races"
+        got = detect_races(tr, include_tag_wildcards=include_tag)
+        want = oracles.races(tr, include_tag_wildcards=include_tag)
+        assert race_shape(got) == race_shape(want)
+        assert got, "the wildcard master always races"
 
 
 class TestSteering:

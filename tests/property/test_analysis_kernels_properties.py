@@ -1,14 +1,15 @@
-"""Property: the vectorized (numpy) analysis kernels equal the scalar
-reference (``engine="python"``) kernels exactly.
+"""Property: the analysis kernels equal the scalar oracles of
+``tests/oracles.py`` exactly.
 
 Random synthetic traces -- messages with wildcard-receive patterns,
 duplicate message keys, unmatched sends/receives, waits/collectives and
-compute -- are pushed through both engines, batch and incrementally
-(streamed in chunks with catch-up queries between chunks), and every
-derived artifact must be identical: clock matrices (integer-exact),
-matching pairs and unmatched lists, window queries, race reports, and
-critical paths (bitwise float equality: the segment ``cumsum`` DP
-performs the same sequential additions as the scalar loop).
+compute -- are indexed in batch and incrementally (streamed in chunks
+with catch-up queries between chunks), and every derived artifact must
+equal the oracle's: clock matrices (integer-exact), matching pairs and
+unmatched lists, window queries, race reports, and critical paths
+(bitwise float equality: the segment ``cumsum`` DP performs the same
+sequential additions as the per-record loop).  ``Trace`` matching,
+which answers from the index, is held to the same oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from repro.analysis.critical_path import critical_path
 from repro.analysis.races import detect_races
 from repro.mp.datatypes import ANY_SOURCE, ANY_TAG, SourceLocation
 from repro.trace.events import EventKind, TraceRecord
+from repro.trace.trace import Trace
+from tests import oracles
 
 LOC = SourceLocation("prog.py", 1, "main")
 
@@ -94,116 +97,124 @@ def trace_records(draw, max_events=120, max_procs=5):
     return nprocs, records
 
 
-def build_pair(nprocs, records, chunk):
-    """One index per engine, fed identically; ``chunk`` > 0 streams with
-    interleaved catch-up queries (incremental path), 0 builds in batch."""
-    engines = {}
-    for engine in ("python", "numpy"):
-        idx = HistoryIndex(nprocs=nprocs, engine=engine)
-        if chunk:
-            for lo in range(0, len(records), chunk):
-                for rec in records[lo:lo + chunk]:
-                    idx.extend(rec)
-                idx.message_pairs()  # force incremental catch-up paths
-                _ = idx.clocks
-        else:
-            idx.extend_many(records)
-        engines[engine] = idx
-    return engines["python"], engines["numpy"]
+def build_index(nprocs, records, chunk):
+    """The index fed ``records``; ``chunk`` > 0 streams with interleaved
+    catch-up queries (incremental path), 0 builds in batch."""
+    idx = HistoryIndex(nprocs=nprocs)
+    if chunk:
+        for lo in range(0, len(records), chunk):
+            for rec in records[lo:lo + chunk]:
+                idx.extend(rec)
+            idx.message_pairs()  # force incremental catch-up paths
+            _ = idx.clocks
+    else:
+        idx.extend_many(records)
+    return idx
 
 
-def assert_same_matching(py, vec):
-    assert [(p.send.index, p.recv.index) for p in py.message_pairs()] == [
-        (p.send.index, p.recv.index) for p in vec.message_pairs()
+def assert_matching_equals_oracle(source, records):
+    """``source`` (an index or a trace) matches like the oracle."""
+    want = oracles.matching(records)
+    assert [(p.send.index, p.recv.index) for p in source.message_pairs()] == want.pairs
+    assert [r.index for r in source.unmatched_sends()] == want.unmatched_sends
+    assert [r.index for r in source.unmatched_recvs()] == want.unmatched_recvs
+    return want
+
+
+def race_key(races):
+    return [
+        (r.recv.index, r.matched_send.index, [a.index for a in r.alternatives])
+        for r in races
     ]
-    assert [r.index for r in py.unmatched_sends()] == [
-        r.index for r in vec.unmatched_sends()
-    ]
-    assert [r.index for r in py.unmatched_recvs()] == [
-        r.index for r in vec.unmatched_recvs()
-    ]
-    assert py.send_of_recv == vec.send_of_recv
 
 
 @settings(max_examples=60, deadline=None)
 @given(trace_records(), hst.integers(0, 17))
-def test_clocks_and_matching_engines_equal(tr, chunk):
+def test_clocks_and_matching_equal_oracle(tr, chunk):
     nprocs, records = tr
-    py, vec = build_pair(nprocs, records, chunk)
-    assert_same_matching(py, vec)
-    np.testing.assert_array_equal(py.clocks, vec.clocks)
-    # lazy catch-up discipline holds for both engines
-    assert py.stats().clock_builds == 1
-    assert vec.stats().clock_builds == 1
-
-
-@settings(max_examples=40, deadline=None)
-@given(trace_records(), hst.integers(0, 17), hst.data())
-def test_window_engines_equal(tr, chunk, data):
-    nprocs, records = tr
-    py, vec = build_pair(nprocs, records, chunk)
-    t_lo, t_hi = py.span
-    a = data.draw(hst.floats(t_lo - 1.0, t_hi + 1.0, allow_nan=False))
-    b = data.draw(hst.floats(t_lo - 1.0, t_hi + 1.0, allow_nan=False))
-    for lo, hi in [(min(a, b), max(a, b)), (t_lo, t_hi), (t_hi, t_lo)]:
-        assert [r.index for r in py.window(lo, hi)] == [
-            r.index for r in vec.window(lo, hi)
-        ]
+    idx = build_index(nprocs, records, chunk)
+    want = assert_matching_equals_oracle(idx, records)
+    assert idx.send_of_recv == want.send_of_recv
+    np.testing.assert_array_equal(
+        idx.clocks, oracles.clocks(records, nprocs, want.send_of_recv)
+    )
+    # lazy catch-up discipline: extended, never rebuilt
+    assert idx.stats().clock_builds == 1
+    assert idx.stats().matching_builds == 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(trace_records(), hst.booleans())
-def test_races_engines_equal(tr, include_tag_wildcards):
+def test_trace_matching_equals_oracle(tr, chunked):
+    """``Trace.message_pairs()`` / ``unmatched_*()`` delegate to the
+    index; on adversarial traces (duplicate keys, stray receives) they
+    still follow the oracle's single-pass slot rule, for a bare trace
+    and for a snapshot of an index built in chunks."""
     nprocs, records = tr
-    py, vec = build_pair(nprocs, records, 0)
+    if chunked:
+        trace = build_index(nprocs, records, 5).trace
+    else:
+        trace = Trace(records, nprocs)
+    assert_matching_equals_oracle(trace, records)
 
-    def key(races):
-        return [
-            (r.recv.index, r.matched_send.index, [a.index for a in r.alternatives])
-            for r in races
-        ]
 
-    ra = detect_races(
-        py.trace, include_tag_wildcards=include_tag_wildcards,
-        index=py, engine="python",
+@settings(max_examples=40, deadline=None)
+@given(trace_records(), hst.integers(0, 17), hst.data())
+def test_window_equals_oracle(tr, chunk, data):
+    nprocs, records = tr
+    idx = build_index(nprocs, records, chunk)
+    t_lo, t_hi = idx.span
+    a = data.draw(hst.floats(t_lo - 1.0, t_hi + 1.0, allow_nan=False))
+    b = data.draw(hst.floats(t_lo - 1.0, t_hi + 1.0, allow_nan=False))
+    for lo, hi in [(min(a, b), max(a, b)), (t_lo, t_hi), (t_hi, t_lo)]:
+        assert [r.index for r in idx.window(lo, hi)] == oracles.window(
+            records, lo, hi
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace_records(), hst.booleans())
+def test_races_equal_oracle(tr, include_tag_wildcards):
+    nprocs, records = tr
+    idx = build_index(nprocs, records, 0)
+    got = detect_races(
+        idx.trace, include_tag_wildcards=include_tag_wildcards, index=idx
     )
-    rb = detect_races(
-        vec.trace, include_tag_wildcards=include_tag_wildcards,
-        index=vec, engine="numpy",
+    want = oracles.races(
+        Trace(records, nprocs), include_tag_wildcards=include_tag_wildcards
     )
-    assert key(ra) == key(rb)
+    assert race_key(got) == race_key(want)
 
 
 @settings(max_examples=40, deadline=None)
 @given(trace_records())
-def test_critical_path_engines_equal(tr):
+def test_critical_path_equals_oracle(tr):
     nprocs, records = tr
-    py, vec = build_pair(nprocs, records, 0)
-    ca = critical_path(py.trace, index=py, engine="python")
-    cb = critical_path(vec.trace, index=vec, engine="numpy")
-    assert [r.index for r in ca.records] == [r.index for r in cb.records]
-    assert ca.length == cb.length  # bitwise: same sequential additions
-    assert ca.span == cb.span
-    assert ca.weights == cb.weights
+    idx = build_index(nprocs, records, 0)
+    got = critical_path(idx.trace, index=idx)
+    want = oracles.critical_path(records)
+    assert [r.index for r in got.records] == [r.index for r in want.records]
+    assert got.length == want.length  # bitwise: same sequential additions
+    assert got.span == want.span
+    assert got.weights == want.weights
 
 
 @settings(max_examples=25, deadline=None)
 @given(trace_records(), hst.integers(1, 17))
-def test_streamed_equals_batch_per_engine(tr, chunk):
+def test_streamed_equals_batch(tr, chunk):
     nprocs, records = tr
-    for engine in ("python", "numpy"):
-        batch = HistoryIndex(records, nprocs=nprocs, engine=engine)
-        streamed = HistoryIndex(nprocs=nprocs, engine=engine)
-        for lo in range(0, len(records), chunk):
-            for rec in records[lo:lo + chunk]:
-                streamed.extend(rec)
-            streamed.message_pairs()
-            _ = streamed.clocks
-            t0, t1 = streamed.span
-            streamed.window(t0, (t0 + t1) / 2)
-        np.testing.assert_array_equal(batch.clocks, streamed.clocks)
-        assert_same_matching(batch, streamed)
-        assert streamed.stats().clock_builds == 1
-        assert streamed.stats().matching_builds == 1
-        if engine == "numpy":  # the python engine's window() is a scan
-            assert streamed.stats().window_builds == 1
+    batch = HistoryIndex(records, nprocs=nprocs)
+    streamed = HistoryIndex(nprocs=nprocs)
+    for lo in range(0, len(records), chunk):
+        for rec in records[lo:lo + chunk]:
+            streamed.extend(rec)
+        streamed.message_pairs()
+        _ = streamed.clocks
+        t0, t1 = streamed.span
+        streamed.window(t0, (t0 + t1) / 2)
+    np.testing.assert_array_equal(batch.clocks, streamed.clocks)
+    want = assert_matching_equals_oracle(streamed, records)
+    assert batch.send_of_recv == streamed.send_of_recv == want.send_of_recv
+    assert streamed.stats().clock_builds == 1
+    assert streamed.stats().matching_builds == 1
+    assert streamed.stats().window_builds == 1

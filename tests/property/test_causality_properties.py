@@ -3,19 +3,20 @@ generated (but deadlock-free) message-passing programs."""
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from repro import mp
 from repro.analysis import (
     check_trace_causality,
-    compute_causal_order,
     cut_of_frontier,
     is_consistent_cut,
 )
 from repro.debugger import vertical_stopline_at_time, verify_stopline_consistency
 from repro.instrument import WrapperLibrary
 from repro.trace import TraceRecorder
+from tests import oracles
 
 NPROCS = 4
 
@@ -75,7 +76,8 @@ def test_trace_causality_invariant(phases):
 @given(program_strategy)
 def test_happens_before_is_strict_partial_order(phases):
     _, trace = traced(phases)
-    order = compute_causal_order(trace)
+    order = trace.history_index().order
+    np.testing.assert_array_equal(order.clocks, oracles.causal_order(trace).clocks)
     n = len(trace)
     idxs = list(range(0, n, max(1, n // 12)))  # sample for speed
     for a in idxs:
@@ -122,10 +124,11 @@ def test_per_proc_prefixes_of_completed_recvs_are_consistent(phases, salt):
     cut = cut_of_frontier(trace, picks, inclusive=True)
     if cut is not None and is_consistent_cut(trace, cut):
         # When the random frontier happens to be consistent, all of its
-        # receives' sends are inside -- restated directly:
-        for pair in trace.message_pairs():
-            if pair.recv.index in cut:
-                assert pair.send.index in cut
+        # receives' sends are inside -- restated directly, on the
+        # oracle's matching:
+        for send, recv in oracles.matching(trace).pairs:
+            if recv in cut:
+                assert send in cut
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,8 +3,8 @@
 Random deadlock-free programs (the same phase/barrier construction as
 ``test_causality_properties``) plus randomized ring/LU parameterizations
 are traced; the index fed record-by-record -- with catch-up queries at
-random interleave points -- must equal the batch reference
-(``compute_causal_order`` clocks, ``Trace`` matching) exactly.
+random interleave points -- must equal the scalar oracles of
+``tests/oracles.py`` (clocks, matching) exactly.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from repro import mp
-from repro.analysis import HistoryIndex, compute_causal_order
+from repro.analysis import HistoryIndex
 from repro.apps.lu import LUConfig, lu_program
 from repro.apps.ring import ring_program
 from repro.instrument import WrapperLibrary
 from repro.trace import TraceRecorder
+from tests import oracles
 
 NPROCS = 4
 
@@ -56,23 +57,21 @@ def traced(program, nprocs):
 
 
 def assert_incremental_equals_batch(trace, catchup_every):
-    batch_order = compute_causal_order(trace)
+    want = oracles.matching(trace)
     index = HistoryIndex(nprocs=trace.nprocs)
     for k, rec in enumerate(trace):
         index.extend(rec)
         if catchup_every and k % catchup_every == 0:
             index.message_pairs()
             _ = index.clocks
-    np.testing.assert_array_equal(index.clocks, batch_order.clocks)
-    assert [(p.send.index, p.recv.index) for p in index.message_pairs()] == [
-        (p.send.index, p.recv.index) for p in trace.message_pairs()
-    ]
-    assert sorted(r.index for r in index.unmatched_sends()) == sorted(
-        r.index for r in trace.unmatched_sends()
+    np.testing.assert_array_equal(
+        index.clocks, oracles.clocks(trace, trace.nprocs, want.send_of_recv)
     )
-    assert [r.index for r in index.unmatched_recvs()] == [
-        r.index for r in trace.unmatched_recvs()
-    ]
+    assert [
+        (p.send.index, p.recv.index) for p in index.message_pairs()
+    ] == want.pairs
+    assert [r.index for r in index.unmatched_sends()] == want.unmatched_sends
+    assert [r.index for r in index.unmatched_recvs()] == want.unmatched_recvs
     stats = index.stats()
     assert stats.clock_builds <= 1
     assert stats.matching_builds <= 1

@@ -1,23 +1,21 @@
 """Merge-free trace recording under the mproc backend.
 
 Contract: with ``trace_path`` set, each forked rank streams its own
-shard file and the parent writes only the manifest -- and the merged
-read of that store is record-for-record identical to the legacy
-pickle-and-merge path (``trace_mode="merge"``) for the same
-deterministic, wildcard-free program.
+shard file and the parent writes only the manifest -- and every rank's
+records in that store are the ones an in-process recording of the same
+deterministic, wildcard-free program produces.
 """
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.mp.backends.mproc import MprocBackend
 from repro.mp.runtime import Runtime
 from repro.mp.scheduler import RunOutcome
 from repro.trace import EventKind, TraceFileReader
 from repro.trace.shard import SHARD_TEMPLATE, ShardManifest
+from tests.conftest import traced_run
 
 NPROCS = 3
 
@@ -38,9 +36,9 @@ def all_recv_target(comm):
     comm.recv((comm.rank + 1) % comm.size, tag=99)
 
 
-def run_traced(tmp_path, mode, name, targets=None, nprocs=NPROCS):
+def run_traced(tmp_path, name, targets=None, nprocs=NPROCS):
     path = tmp_path / name
-    backend = MprocBackend(trace_path=path, trace_mode=mode)
+    backend = MprocBackend(trace_path=path)
     rt = Runtime(nprocs, backend=backend)
     rt.launch(targets if targets is not None else [ring_target] * nprocs)
     report = rt.run_until_idle()
@@ -48,15 +46,18 @@ def run_traced(tmp_path, mode, name, targets=None, nprocs=NPROCS):
     return path, report
 
 
-def record_key(rec):
-    return (
-        rec.index, rec.proc, rec.kind, rec.marker,
-        rec.src, rec.dst, rec.tag, rec.seq,
-    )
+def per_rank(records):
+    """Each rank's (proc, kind, marker, src, dst, tag, seq) sequence."""
+    out = [[] for _ in range(NPROCS)]
+    for rec in records:
+        out[rec.proc].append(
+            (rec.proc, rec.kind, rec.marker, rec.src, rec.dst, rec.tag, rec.seq)
+        )
+    return out
 
 
 def test_shard_mode_writes_manifest_and_per_rank_shards(tmp_path):
-    path, report = run_traced(tmp_path, "shard", "run.trace")
+    path, report = run_traced(tmp_path, "run.trace")
     assert report.outcome is RunOutcome.FINISHED
     # one shard file per rank, named by the manifest template
     for rank in range(NPROCS):
@@ -82,36 +83,22 @@ def test_shard_mode_writes_manifest_and_per_rank_shards(tmp_path):
     assert sum(1 for r in records if r.kind is EventKind.PROC_START) == NPROCS
 
 
-def test_shard_and_merge_modes_record_identically(tmp_path):
-    shard_path, rep1 = run_traced(tmp_path, "shard", "a.trace")
-    merge_path, rep2 = run_traced(tmp_path, "merge", "b.trace")
-    assert rep1.outcome is rep2.outcome is RunOutcome.FINISHED
-    shard_reader = TraceFileReader(shard_path)
-    merge_reader = TraceFileReader(merge_path)
-    assert shard_reader.sharded and not merge_reader.sharded
-    shard_recs = list(shard_reader.iter_records())
-    merge_recs = list(merge_reader.iter_records())
-    assert len(shard_recs) == len(merge_recs) > 0
-    assert [record_key(r) for r in shard_recs] == [
-        record_key(r) for r in merge_recs
-    ]
-
-
-def test_merge_mode_single_file_is_index_ordered(tmp_path):
-    path, report = run_traced(tmp_path, "merge", "merged.trace")
+def test_shards_hold_the_in_process_recording(tmp_path):
+    path, report = run_traced(tmp_path, "a.trace")
     assert report.outcome is RunOutcome.FINISHED
-    reader = TraceFileReader(path)
-    records = reader.read_all()
-    indices = [rec.index for rec in records]
-    assert indices == sorted(indices)
+    records = list(TraceFileReader(path).iter_records())
     # per-rank index slices are disjoint and interleaved by nprocs
     for rec in records:
         assert rec.index % NPROCS == rec.proc
+    _, reference = traced_run(ring_target, NPROCS, lifecycle=True)
+    expected = per_rank(reference)
+    assert all(expected)
+    assert per_rank(records) == expected
 
 
 def test_deadlocked_run_still_writes_manifest(tmp_path):
     path, report = run_traced(
-        tmp_path, "shard", "dead.trace", targets=[all_recv_target] * NPROCS
+        tmp_path, "dead.trace", targets=[all_recv_target] * NPROCS
     )
     # the abort-path drain must NOT disturb deadlock classification
     assert report.outcome is RunOutcome.DEADLOCK
@@ -123,11 +110,6 @@ def test_deadlocked_run_still_writes_manifest(tmp_path):
     kinds = {rec.kind for rec in records}
     assert EventKind.SEND in kinds
     assert sum(1 for r in records if r.kind is EventKind.PROC_START) == NPROCS
-
-
-def test_invalid_trace_mode_rejected():
-    with pytest.raises(ValueError, match="trace_mode"):
-        MprocBackend(trace_path="x.trace", trace_mode="bogus")
 
 
 def test_untraced_backend_unchanged(tmp_path):
