@@ -19,11 +19,14 @@ time spent waiting for the message, which is not work on this chain.
 An unmatched (deadlocked) receive and the aggregate/wait kinds of
 :data:`ZERO_WEIGHT_KINDS` weigh nothing.
 
-The path is computed by a longest-path pass in trace order, which is a
-topological order of the happens-before DAG (receives are recorded after
-their sends; per-process order is program order).  The one
-implementation is the columnar DP in :func:`_critical_path`;
-``tests/oracles.py`` keeps a per-record version the tests compare it to.
+The path is a longest-path DP over the happens-before DAG.  Its one
+implementation, :func:`_critical_path`, runs one numpy pass per level
+of the receive-join DAG (the index's
+:class:`~repro.analysis.history.JoinSchedule`, shared with the clock
+kernel), so Python-level work is O(levels), not O(messages);
+``tests/oracles.py`` keeps a per-record version in trace order (a
+topological order: receives are recorded after their sends, per-process
+order is program order) that the tests hold it bitwise equal to.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ ZERO_WEIGHT_KINDS = frozenset(COLLECTIVE_KINDS) | {
     EventKind.SENDRECV,
     EventKind.TEST,
 }
-_ZERO_WEIGHT_CODES = np.array(
-    sorted(KIND_CODES[k] for k in ZERO_WEIGHT_KINDS), dtype=np.uint8
-)
+#: kind code -> weighs nothing by kind: the zero-weight kinds, and
+#: receives (a matched one gets its transfer weight back)
+_ZERO_BY_KIND = np.zeros(256, dtype=bool)
+_ZERO_BY_KIND[[KIND_CODES[k] for k in ZERO_WEIGHT_KINDS | {EventKind.RECV}]] = True
 
 
 @dataclass
@@ -106,7 +110,7 @@ def critical_path(
 
     Accepts a materialized :class:`Trace` or any record iterator (the
     streaming consumers hand a file reader's stream straight in).  The
-    send-of-recv map and span come from the shared
+    join schedule and span come from the shared
     :class:`~repro.analysis.history.HistoryIndex`.
 
     The DP runs over the index's column store (see
@@ -124,119 +128,105 @@ def critical_path(
 
 
 def _critical_path(idx: "HistoryIndex") -> CriticalPath:
-    """The longest-path DP as per-process cumulative-sum segments.
+    """The longest-path DP, one numpy pass per level of the receive-join
+    DAG (:class:`~repro.analysis.history.JoinSchedule`).
 
-    Between receive joins, a process's DP is a pure running sum (every
+    Between receive joins a process's DP is a pure running sum (every
     weight and distance is non-negative, so the program-order candidate
-    always wins or ties the fresh-start one), so each process's rows
-    split into segments delimited by its matched receives and a segment
-    is one chained ``np.cumsum`` flush -- sequential additions, hence
-    bitwise-identical to a per-record loop.  Python touches only the
-    joins (O(messages) iterations), where the send edge competes with
-    the program edge under a fixed tie-break (program first, send wins
-    only strictly).
+    always wins or ties the fresh-start one).  Each segment -- a join
+    row and the rows after it up to the process's next join, or a
+    process's rows before its first join after a virtual 0.0 -- is one
+    row of a padded 2-D block, one block per level, all blocks in one
+    flat buffer that holds every row's distance.  Level 0 (the base
+    segments) is one ``np.add.accumulate(axis=1)``; each later level
+    sets its join distances -- the larger of the program and the send
+    candidate -- then accumulates its block.  Accumulation adds
+    sequentially along each row, so distances are bitwise those of a
+    per-record loop.  Predecessors follow from the final distances in
+    one vectorized pass under the fixed tie-break (program first, the
+    send wins only strictly).  A level holds at most one segment per
+    process and its block is as wide as its longest segment, so the
+    buffer has at most p x (n + p) cells -- the clock matrix's size.
     """
     trace = idx.trace
     n = len(trace)
     if n == 0:
         return CriticalPath([], 0.0, 0.0, [])
-    cols = idx.columns
-    send_of_recv = idx.send_of_recv  # also forces matching before clocks
+    sched = idx.join_schedule()
     nprocs = idx.nprocs
-    t0 = cols["t0"]
-    t1 = cols["t1"]
-    kind = cols["kind"]
-    proc_col = cols["proc"]
+    t0 = idx.column("t0")
+    t1 = idx.column("t1")
+    proc = idx.column("proc")
 
     # --- weights, vectorized ------------------------------------------
-    from .history import RECV_CODES
-
+    recv, send = sched.recv, sched.send
     w = t1 - t0
-    w[np.isin(kind, _ZERO_WEIGHT_CODES)] = 0.0
-    w[kind == RECV_CODES[0]] = 0.0  # unmatched receives contribute nothing
-    if send_of_recv:
-        r_arr = np.fromiter(
-            send_of_recv.keys(), dtype=np.int64, count=len(send_of_recv)
+    w[_ZERO_BY_KIND[idx.column("kind")]] = 0.0
+    w[recv] = np.maximum(0.0, t1[recv] - np.maximum(t1[send], t0[recv]))
+
+    # --- buffer layout: level blocks of padded segment rows -----------
+    seg, rank = sched.seg, sched.rank
+    nseg = nprocs + recv.size
+    # cells per segment: its rows, plus the virtual 0.0 of a base segment
+    cells = np.bincount(seg, minlength=nseg)
+    cells[:nprocs] += 1
+    seg_bounds = np.concatenate(([0], nprocs + sched.bounds))
+    per_level = seg_bounds[1:] - seg_bounds[:-1]
+    width = np.maximum.reduceat(cells, seg_bounds[:-1])
+    offsets = np.zeros(per_level.size + 1, dtype=np.int64)
+    np.cumsum(per_level * width, out=offsets[1:])
+    first_cell = offsets[:-1].repeat(per_level) + (
+        np.arange(nseg) - seg_bounds[:-1].repeat(per_level)
+    ) * width.repeat(per_level)
+    # a row's cell: its segment's first cell plus its place in the
+    # segment, after the virtual 0.0 in a base segment
+    start_rank = np.full(nseg, -1, dtype=np.int64)
+    start_rank[nprocs:] = rank[recv]
+    cell = (first_cell - start_rank)[seg] + rank
+    buf = np.zeros(int(offsets[-1]), dtype=np.float64)
+    buf[cell] = w
+    base = buf[: offsets[1]].reshape(nprocs, width[0])
+    np.add.accumulate(base, axis=1, out=base)
+
+    # --- one pass per join level --------------------------------------
+    # previous row in program order (-1 at a process's first row); a
+    # join without one reads its base segment's virtual 0.0
+    order, starts = sched.order, sched.starts
+    prev_row = np.empty(n, dtype=np.int64)
+    prev_row[order[1:]] = order[:-1]
+    prev_row[order[starts[:-1][sched.per_proc > 0]]] = -1
+    if recv.size:
+        join_prev = prev_row[recv]
+        prev_cell = np.where(
+            join_prev >= 0, cell[join_prev], first_cell[proc[recv]]
         )
-        s_arr = np.fromiter(
-            send_of_recv.values(), dtype=np.int64, count=len(send_of_recv)
-        )
-        w[r_arr] = np.maximum(0.0, t1[r_arr] - np.maximum(t1[s_arr], t0[r_arr]))
+        parents = sched.interleave(prev_cell, cell[send])
+        w_join = sched.interleave(w[recv], w[recv])
+        offsets_l = offsets.tolist()
+        width_l = width.tolist()
+        a = 0
+        for lev, z in enumerate(sched.bounds[1:].tolist(), start=1):
+            cand = buf.take(parents[2 * a: 2 * z])
+            cand += w_join[2 * a: 2 * z]
+            k = z - a
+            o = offsets_l[lev]
+            wl = width_l[lev]
+            if wl == 1:
+                np.maximum(cand[:k], cand[k:], out=buf[o: o + k])
+            else:
+                blk = buf[o: o + k * wl].reshape(k, wl)
+                np.maximum(cand[:k], cand[k:], out=blk[:, 0])
+                np.add.accumulate(blk, axis=1, out=blk)
+            a = z
 
-    # --- per-process segment machinery --------------------------------
-    order = np.argsort(proc_col, kind="stable").astype(np.int64)
-    bounds = np.searchsorted(proc_col[order], np.arange(nprocs + 1))
-    idxs_by_proc = [order[bounds[p]: bounds[p + 1]] for p in range(nprocs)]
-    rowpos = np.empty(n, dtype=np.int64)
-    for p in range(nprocs):
-        rows = idxs_by_proc[p]
-        rowpos[rows] = np.arange(rows.size, dtype=np.int64)
-
-    dist = np.zeros(n, dtype=np.float64)
-    pred = np.full(n, -1, dtype=np.int64)
-    tail = [0.0] * nprocs  # dist of each process's last flushed record
-    flushed = [0] * nprocs  # rowpos high-water mark per process
-    # contiguous per-process weight views: flushes slice, never gather
-    w_by_proc = [w[idxs_by_proc[p]] for p in range(nprocs)]
-
-    def flush(p: int, upto: int) -> None:
-        a = flushed[p]
-        if upto > a:
-            rows = idxs_by_proc[p][a:upto]
-            wseg = w_by_proc[p][a:upto]
-            buf = np.empty(rows.size + 1, dtype=np.float64)
-            buf[0] = tail[p]
-            buf[1:] = wseg
-            np.add.accumulate(buf, out=buf)  # sequential adds, bitwise
-            seg = buf[1:]
-            dist[rows] = seg
-            prev_i = np.empty(rows.size, dtype=np.int64)
-            prev_i[0] = idxs_by_proc[p][a - 1] if a > 0 else -1
-            prev_i[1:] = rows[:-1]
-            # the program edge is taken only when strictly better than a
-            # fresh start (ties keep the fresh start)
-            pred[rows] = np.where(seg > wseg, prev_i, -1)
-            tail[p] = float(seg[-1])
-            flushed[p] = upto
-
-    joins = sorted(send_of_recv.keys())
-    if joins:
-        j_arr = np.asarray(joins, dtype=np.int64)
-        s_list = [send_of_recv[i] for i in joins]
-        s_arr2 = np.asarray(s_list, dtype=np.int64)
-        jp_l = proc_col[j_arr].tolist()
-        jrp_l = rowpos[j_arr].tolist()
-        jw_l = w[j_arr].tolist()
-        sq_l = proc_col[s_arr2].tolist()
-        srp_l = rowpos[s_arr2].tolist()
-    for k, i in enumerate(joins):
-        s = s_list[k]
-        p = jp_l[k]
-        rp = jrp_l[k]
-        flush(p, rp)
-        wi = jw_l[k]
-        best = wi
-        best_pred = -1
-        if rp > 0:
-            prev = int(idxs_by_proc[p][rp - 1])
-            cand = float(dist[prev]) + wi
-            if cand > best:
-                best, best_pred = cand, prev
-        q = sq_l[k]
-        if srp_l[k] >= flushed[q]:
-            # the send's distance is still pending in q's open segment;
-            # every q-row up to it is join-free (joins are processed in
-            # ascending trace order), so flushing through it is exact
-            flush(q, srp_l[k] + 1)
-        cand = float(dist[s]) + wi
-        if cand > best:
-            best, best_pred = cand, s
-        dist[i] = best
-        pred[i] = best_pred
-        tail[p] = best
-        flushed[p] = rp + 1
-    for p in range(nprocs):
-        flush(p, idxs_by_proc[p].size)
+    dist = buf[cell]
+    # the program edge is taken only when strictly better than a fresh
+    # start; a join takes its send edge only when strictly better still
+    pred = np.where(dist > w, prev_row, -1)
+    if recv.size:
+        by_prev = buf[prev_cell] + w[recv]
+        by_send = buf[cell[send]] + w[recv]
+        pred[recv] = np.where(by_send > by_prev, send, pred[recv])
 
     end = int(np.argmax(dist))  # the first maximum
     path = []

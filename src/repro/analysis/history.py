@@ -17,9 +17,10 @@ appended per record in :meth:`extend` and bulk-copied from a decoded
 :class:`~repro.trace.columnar.ColumnBlock` in :meth:`extend_columns`.
 The hot kernels run on these columns as batched array operations:
 
-* vector clocks -- only receive-join events are touched in Python; the
-  segments between joins are filled by broadcast (O(messages*p) array
-  work instead of O(n*p) Python iterations);
+* vector clocks -- one numpy pass per level of the receive-join DAG
+  (:class:`JoinSchedule`, shared with the critical-path DP; a chain of
+  width-1 levels is one pass), then one broadcast fill of the segments
+  between joins: Python-level work is O(levels), not O(n*p);
 * message matching -- one ``np.lexsort`` grouping over the
   (src, dst, tag, seq) key columns instead of a per-record dict loop;
 * :meth:`window` -- a sorted-t0 interval index answered with
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -117,6 +118,16 @@ RECV_CODES: np.ndarray = np.array(
 _RECV_CODE = int(RECV_CODES[0])  # RECV is the single receive-side kind
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``argsort(keys, kind="stable")`` for keys in ``[0, bound)``: on an
+    8/16-bit copy of the keys numpy's stable sort is a radix sort."""
+    if bound <= 256:
+        keys = keys.astype(np.uint8)
+    elif bound <= 65536:
+        keys = keys.astype(np.uint16)
+    return keys.argsort(kind="stable")
+
+
 @dataclass
 class IndexStats:
     """Observability snapshot of one index's build/extend economics.
@@ -128,7 +139,10 @@ class IndexStats:
     count memoized-component lookups per component name.
     ``kernel_calls``/``kernel_seconds`` count the analysis kernels that
     consume the index without owning state in it (race detection,
-    critical path), keyed by kernel name.
+    critical path), keyed by kernel name.  ``joins``/``join_levels``
+    count the receive joins the clock catch-ups folded and the join-DAG
+    levels they ran in (see :class:`JoinSchedule`): their ratio is the
+    mean wavefront width each numpy pass covered.
     """
 
     generation: int = 0
@@ -140,6 +154,8 @@ class IndexStats:
     clock_builds: int = 0
     clock_extends: int = 0
     clock_seconds: float = 0.0
+    joins: int = 0
+    join_levels: int = 0
     matching_builds: int = 0
     matching_extends: int = 0
     matching_seconds: float = 0.0
@@ -171,6 +187,8 @@ class IndexStats:
             clock_builds=self.clock_builds,
             clock_extends=self.clock_extends,
             clock_seconds=self.clock_seconds,
+            joins=self.joins,
+            join_levels=self.join_levels,
             matching_builds=self.matching_builds,
             matching_extends=self.matching_extends,
             matching_seconds=self.matching_seconds,
@@ -198,6 +216,9 @@ class IndexStats:
             f"  vector clocks : {self.clock_builds} build(s), "
             f"{self.clock_extends} record(s) folded, "
             f"{self.clock_seconds * 1e3:.2f} ms",
+            f"  join wavefront: {self.joins} join(s) in "
+            f"{self.join_levels} level(s), mean width "
+            f"{self.joins / self.join_levels if self.join_levels else 0.0:.1f}",
             f"  matching      : {self.matching_builds} build(s), "
             f"{self.matching_extends} record(s) folded, "
             f"{self.matching_seconds * 1e3:.2f} ms",
@@ -219,6 +240,72 @@ class IndexStats:
         return "\n".join(lines)
 
 
+class JoinSchedule(NamedTuple):
+    """The matched receives of rows ``[lo, n)`` grouped into the levels
+    of the receive-join DAG (:meth:`HistoryIndex.join_schedule`).
+
+    Between two receive joins a process's clock and critical-path
+    distance advance without looking at any other process, so each
+    process's rows split into *segments*: a base segment (the rows
+    before its first join in the range) and one segment per join,
+    starting at the join row.  A join reads two parent segments -- the
+    receiver's previous one and the one holding the matched send -- so
+    its level is one more than the larger of theirs; base segments, and
+    the already-final rows of sends recorded before ``lo``, are level 0.
+    Every join of one level depends only on earlier levels, which is
+    what lets a kernel handle a whole level in one numpy pass.
+
+    Segment ids: ``0..nprocs-1`` are the base segments, the next
+    ``prior.size`` ids are the prior-batch sends, and join ``k`` (in
+    level order) starts segment ``nbase + k``.
+    """
+
+    #: the scheduled row range ``[lo, n)``
+    lo: int
+    n: int
+    #: the range's rows sorted by process, stable (program order within)
+    order: np.ndarray
+    #: ``order[starts[p]:starts[p + 1]]`` are process p's rows
+    starts: np.ndarray
+    #: rows of each process in the range
+    per_proc: np.ndarray
+    #: position of every row among its process's rows of the range
+    rank: np.ndarray
+    #: segment id of every row of the range (range-relative)
+    seg: np.ndarray
+    #: joins in level order (trace order within a level): receive rows
+    #: and their matched send rows, absolute
+    recv: np.ndarray
+    send: np.ndarray
+    #: segment ids of each join's parents
+    prev_seg: np.ndarray
+    send_seg: np.ndarray
+    #: sends recorded before ``lo`` that a join of the range reads
+    prior: np.ndarray
+    #: level l (1-based) holds joins ``bounds[l-1]:bounds[l]``
+    bounds: np.ndarray
+
+    @property
+    def nbase(self) -> int:
+        return self.per_proc.size + self.prior.size
+
+    @property
+    def levels(self) -> int:
+        return self.bounds.size - 1
+
+    def interleave(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Per-join values laid out so level l's slice ``[2a:2z]`` (for
+        ``a, z = bounds[l-1], bounds[l]``) is ``first[a:z]`` followed by
+        ``second[a:z]``: one gather per level fetches both parents."""
+        bounds = self.bounds
+        width = bounds[1:] - bounds[:-1]
+        k = np.arange(self.recv.size)
+        out = np.empty(2 * k.size, dtype=first.dtype)
+        out[k + bounds[:-1].repeat(width)] = first
+        out[k + bounds[1:].repeat(width)] = second
+        return out
+
+
 class HistoryIndex:
     """Shared, incrementally-maintained derived state for one history.
 
@@ -234,6 +321,8 @@ class HistoryIndex:
       the indexed records, the substrate the vectorized kernels (and
       columnar consumers such as race detection and the critical-path
       DP) run on;
+    * ``join_schedule()`` -- the receive joins grouped into join-DAG
+      levels, which the clock and critical-path kernels run over;
     * ``blocked`` -- the runtime's blocked-wait snapshot, when supplied.
 
     ``trace`` materializes (and memoizes) an immutable
@@ -279,11 +368,15 @@ class HistoryIndex:
         self._open_sends: dict[tuple[int, int, int, int], TraceRecord] = {}
         self._pairs: list[MessagePair] = []
         self._send_of_recv: dict[int, int] = {}
+        # per row: the matched send's row for a matched receive, else -1
+        # (the columnar twin of _send_of_recv that the join schedule reads)
+        self._send_row = np.empty(0, dtype=np.int64)
         self._unmatched_recvs: list[TraceRecord] = []
         # vector clocks (lazy catch-up) -----------------------------------
         self._clocked_upto = 0
         self._clocks = np.zeros((0, self.nprocs), dtype=np.int64)
         self._current = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
+        self._schedule: Optional[JoinSchedule] = None
         # window interval index (lazy catch-up) ---------------------------
         self._window_upto = 0
         self._t0_order: Optional[np.ndarray] = None
@@ -719,6 +812,11 @@ class HistoryIndex:
         by pure array ops; duplicate-key groups are walked per group
         under the single-pass slot rule (see the module docstring).
         """
+        if self._send_row.size < n:
+            grown = np.empty(max(64, n, 2 * self._send_row.size), dtype=np.int64)
+            grown[:lo] = self._send_row[:lo]
+            self._send_row = grown
+        self._send_row[lo:n] = -1
         cols = self._cols
         kind = cols["kind"][lo:n]
         send_rel = np.nonzero(np.isin(kind, SEND_CODES))[0]
@@ -762,6 +860,8 @@ class HistoryIndex:
         r_of = np.full(ngroups, -1, dtype=np.int64)
         r_of[recv_gid] = evt[m_s:]
         paired = simple & (s_of >= 0) & (r_of >= 0) & (s_of < r_of)
+        send_row = self._send_row
+        send_row[r_of[paired]] = s_of[paired]
         new_pairs = list(zip(s_of[paired].tolist(), r_of[paired].tolist()))
         unmatched = r_of[simple & (r_of >= 0) & ~paired].tolist()
         opened = s_of[simple & (s_of >= 0) & ~paired].tolist()
@@ -784,6 +884,7 @@ class HistoryIndex:
                     if is_recv_flag[j]:
                         if slot >= 0:
                             new_pairs.append((slot, e))
+                            send_row[e] = slot
                             slot = -1
                         else:
                             unmatched.append(e)
@@ -845,7 +946,7 @@ class HistoryIndex:
         if self._clocked_upto >= n:
             self._stats.hit("clocks")
             return
-        self._ensure_matching()  # recv joins need send_of_recv
+        self._ensure_matching()  # the join schedule reads the matched send rows
         self._stats.miss("clocks")
         start = time.perf_counter()
         if self._clocked_upto == 0:
@@ -861,111 +962,219 @@ class HistoryIndex:
         self._stats.clock_extends += n - lo
         self._stats.clock_seconds += time.perf_counter() - start
 
-    def _clocks_suffix(self, lo: int, n: int) -> None:
-        """Fold records ``[lo, n)`` into the clock matrix; Python touches
-        only receive-join events.
+    def join_schedule(self) -> JoinSchedule:
+        """The receive joins of the indexed history grouped into join-DAG
+        levels -- the schedule the critical-path DP runs level by level,
+        as each clock catch-up does over its own rows.
 
-        A process's clock changes its *own* component at every event but
-        its other components only at receive joins, so each per-process
-        row splits into segments delimited by joins: within a segment
-        every clock row equals the segment base except the own column,
-        which is a running count.  The kernel walks the joins in trace
-        order maintaining the per-process running bases as plain Python
-        lists (length p -- no numpy-call overhead inside the loop) and
-        collects each new segment base into a per-process table; the
-        clock matrix is then written in two bulk operations per process
-        -- one ``B[segment_id]`` gather for the inter-join broadcasts,
-        one global scatter for the own-component counters.
+        The only per-join Python work is the integer level recurrence;
+        everything O(rows) or O(joins * nprocs) is array work.  The last
+        schedule is kept, so the critical path of a batch-built index
+        reuses the one its clock build computed.
+        """
+        self._check_live()
+        self._ensure_matching()
+        return self._join_schedule(0, self._n)
+
+    def _join_schedule(self, lo: int, n: int) -> JoinSchedule:
+        cached = self._schedule
+        if cached is not None and cached.lo == lo and cached.n == n:
+            self._stats.hit("schedule")
+            return cached
+        self._stats.miss("schedule")
+        self._schedule = self._build_schedule(lo, n)
+        return self._schedule
+
+    def _build_schedule(self, lo: int, n: int) -> JoinSchedule:
+        nprocs = self.nprocs
+        m = n - lo
+        proc = self._cols["proc"][lo:n]
+        order = _stable_order(proc, nprocs)
+        per_proc = np.bincount(proc, minlength=nprocs)
+        starts = np.zeros(nprocs + 1, dtype=np.int64)
+        np.cumsum(per_proc, out=starts[1:])
+        rank = np.empty(m, dtype=np.int64)
+        rank[order] = np.arange(m) - starts[:-1].repeat(per_proc)
+        send_of = self._send_row[lo:n]
+        join_rel = (send_of >= 0).nonzero()[0]
+        nj = join_rel.size
+        if nj == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return JoinSchedule(lo, n, order, starts, per_proc, rank,
+                                proc.astype(np.int64), empty, empty, empty,
+                                empty, empty, np.zeros(1, dtype=np.int64))
+        send = send_of[join_rel]
+        prior_mask = send < lo
+        prior = send[prior_mask]
+        nbase = nprocs + prior.size
+        # segment ids (joins numbered in trace order for now): a row's
+        # segment is that of the last process start or join at or before
+        # it in program order -- a forward fill over the proc-sorted rows
+        jproc = proc[join_rel]
+        jrank = rank[join_rel]
+        jpos = starts[jproc] + jrank
+        first = starts[:-1][per_proc > 0]
+        label = np.empty(m, dtype=np.int64)
+        label[first] = per_proc.nonzero()[0]
+        label[jpos] = nbase + np.arange(nj)
+        mark = np.zeros(m, dtype=np.int64)
+        mark[first] = first
+        mark[jpos] = jpos
+        np.maximum.accumulate(mark, out=mark)
+        seg_sorted = label[mark]
+        prev_seg = np.where(jrank > 0, seg_sorted[jpos - 1], jproc)
+        seg = np.empty(m, dtype=np.int64)
+        seg[order] = seg_sorted
+        send_seg = np.empty(nj, dtype=np.int64)
+        send_seg[prior_mask] = nprocs + np.arange(prior.size)
+        inside = ~prior_mask
+        send_seg[inside] = seg[send[inside] - lo]
+        # levels: parents precede their join in trace order
+        lv = [0] * nbase
+        for x, y in zip(prev_seg.tolist(), send_seg.tolist()):
+            x = lv[x]
+            y = lv[y]
+            lv.append(x + 1 if x > y else y + 1)
+        level = np.fromiter(lv[nbase:], dtype=np.int64, count=nj)
+        top = int(level.max())
+        by_level = _stable_order(level, top + 1)
+        bounds = np.searchsorted(level[by_level], np.arange(1, top + 2))
+        # renumber join segments into level order
+        renum = np.arange(nbase + nj, dtype=np.int64)
+        renum[nbase + by_level] = np.arange(nbase, nbase + nj)
+        return JoinSchedule(
+            lo=lo,
+            n=n,
+            order=order,
+            starts=starts,
+            per_proc=per_proc,
+            rank=rank,
+            seg=renum[seg],
+            recv=join_rel[by_level] + lo,
+            send=send[by_level],
+            prev_seg=renum[prev_seg[by_level]],
+            send_seg=renum[send_seg[by_level]],
+            prior=prior,
+            bounds=bounds,
+        )
+
+    def _clocks_suffix(self, lo: int, n: int) -> None:
+        """Fold records ``[lo, n)`` into the clock matrix, one numpy pass
+        per level of the receive-join DAG.
+
+        Within a segment (see :class:`JoinSchedule`) every clock row
+        equals the segment's base row except the process's own
+        component, a running count.  The kernel fills a table of segment
+        base rows level by level: a level gathers its joins' two parent
+        rows in one ``take``, sets each send's own component, and writes
+        the elementwise maximum as its new rows.  A segment row's *own*
+        column is never read (the fill and every join overwrite it), so
+        no pass maintains it.  The clock matrix is then one gather of
+        the table by segment id plus one scatter of the own counters.
+
+        A run of width-1 levels is a chain: each join has the previous
+        one as a parent, and its other parent is either from before the
+        run or a row of the run, which the previous join dominates.  So
+        the whole run is one ``np.maximum.accumulate`` over its joins'
+        other parents, rows from inside the run replaced by zeros and
+        each send's own component set first.  Setting is exact: a row
+        from before the run cannot know the sender's clock past the
+        previous join (it would depend on that join and sit at a later
+        level).  Narrow DAGs pay per run, not per join.
 
         ``self._current`` carries the state between catch-ups: row p is
-        the clock after p's last indexed event.
+        the clock after p's last indexed event.  Rows of sends folded in
+        an earlier catch-up enter the table as final rows.
         """
-        from bisect import bisect_right
-
-        cols = self._cols
         nprocs = self.nprocs
         clocks = self._clocks
         current = self._current
-        m = n - lo
-        proc_sub = cols["proc"][lo:n]
-        kind_sub = cols["kind"][lo:n]
-        order = np.argsort(proc_sub, kind="stable")
-        bounds = np.searchsorted(proc_sub[order], np.arange(nprocs + 1))
-        idxs_by_proc = [order[bounds[p]: bounds[p + 1]] for p in range(nprocs)]
-        counts0 = [int(current[p, p]) for p in range(nprocs)]
-        own_abs = np.empty(m, dtype=np.int64)
-        for p in range(nprocs):
-            rows = idxs_by_proc[p]
-            own_abs[rows] = counts0[p] + np.arange(
-                1, rows.size + 1, dtype=np.int64
-            )
-        # matched joins of the suffix, in trace order, with the scalar
-        # reads the loop needs gathered up front (no full-column tolist)
-        send_map = self._send_of_recv
-        recv_rels = np.nonzero(kind_sub == _RECV_CODE)[0]
-        sends = [send_map.get(int(i) + lo) for i in recv_rels]
-        keep = [k for k, s in enumerate(sends) if s is not None]
-        i_rels = recv_rels[keep].tolist() if keep else []
-        s_abs = [sends[k] for k in keep]
-        own_i_l = own_abs[recv_rels[keep]].tolist() if keep else []
-        p_l = proc_sub[recv_rels[keep]].tolist() if keep else []
-        s_rel_arr = np.asarray([s - lo for s in s_abs], dtype=np.int64)
-        in_suffix = [s >= lo for s in s_abs]
-        own_s_l = np.where(
-            s_rel_arr >= 0, own_abs[np.maximum(s_rel_arr, 0)], 0
-        ).tolist() if keep else []
-        q_l = proc_sub[np.maximum(s_rel_arr, 0)].tolist() if keep else []
-        # per-process running base (non-own components) + segment tables
-        base = [current[p].tolist() for p in range(nprocs)]
-        seg_bases: list[list[list[int]]] = [[base[p][:]] for p in range(nprocs)]
-        join_rows: list[list[int]] = [[] for _ in range(nprocs)]
-        for k in range(len(i_rels)):
-            own_i = own_i_l[k]
-            p = p_l[k]
-            bp = base[p]
-            if in_suffix[k]:
-                q = q_l[k]
-                # the send's segment: last join of q at or before its row
-                rel_row = own_s_l[k] - 1 - counts0[q]
-                sc = seg_bases[q][bisect_right(join_rows[q], rel_row)]
-                bp = [a if a >= b else b for a, b in zip(bp, sc)]
-                v = own_s_l[k]  # the send's own component
-                if v > bp[q]:
-                    bp[q] = v
-            else:
-                # prior-batch send: its clock row is already final
-                sc = clocks[s_abs[k]].tolist()
-                bp = [a if a >= b else b for a, b in zip(bp, sc)]
-            bp[p] = own_i
-            base[p] = bp  # the old list stays frozen in its segment table
-            join_rows[p].append(own_i - 1 - counts0[p])
-            seg_bases[p].append(bp)
-        # bulk fill: global segment ids -> one contiguous gather, then
-        # one scatter for the own-component counters -----------------
-        gid = np.empty(m, dtype=np.int64)
-        offset = 0
-        tables = []
-        for p in range(nprocs):
-            rows = idxs_by_proc[p]
-            tables.extend(seg_bases[p])
-            if rows.size:
-                if join_rows[p]:
-                    gid[rows] = offset + np.searchsorted(
-                        np.asarray(join_rows[p], dtype=np.int64),
-                        np.arange(rows.size, dtype=np.int64),
-                        side="right",
-                    )
-                else:
-                    gid[rows] = offset
-            offset += len(seg_bases[p])
-            current[p] = base[p]
-            current[p, p] = counts0[p] + rows.size
-        table_all = np.asarray(tables, dtype=np.int64)
-        # gid is in [0, len(tables)) by construction; "clip" skips the
+        proc_col = self._cols["proc"]
+        sched = self._join_schedule(lo, n)
+        proc = proc_col[lo:n]
+        per_proc = sched.per_proc
+        counts0 = current.diagonal().copy()
+        # own component: a per-process running count from the carried one
+        own = sched.rank + (counts0 + 1)[proc]
+        nbase = sched.nbase
+        nj = sched.recv.size
+        # segment rows, then one all-zero row (the run pass's filler)
+        table = np.empty((nbase + nj + 1, nprocs), dtype=np.int64)
+        table[:nprocs] = current
+        table[nprocs:nbase] = clocks[sched.prior]
+        table[-1] = 0
+        if nj:
+            self._stats.joins += nj
+            self._stats.join_levels += sched.levels
+            self._clock_levels(sched, table, own, lo)
+        # seg ids are in [0, len(table)) by construction; "clip" skips the
         # bounds pass, and writing straight into the matrix avoids a
         # second (n x p)-sized temporary
-        table_all.take(gid, axis=0, mode="clip", out=clocks[lo:n])
-        clocks[np.arange(lo, n), proc_sub] = own_abs
+        seg = sched.seg
+        table.take(seg, axis=0, mode="clip", out=clocks[lo:n])
+        clocks.reshape(-1)[np.arange(lo * nprocs, n * nprocs, nprocs) + proc] = own
+        has_rows = per_proc > 0
+        last = sched.order[sched.starts[1:][has_rows] - 1]
+        current[has_rows] = table[seg[last]]
+        current.reshape(-1)[:: nprocs + 1] = counts0 + per_proc
+
+    def _clock_levels(
+        self, sched: JoinSchedule, table: np.ndarray, own: np.ndarray, lo: int
+    ) -> None:
+        """The level passes of :meth:`_clocks_suffix`: fill the join rows
+        ``table[nbase:nbase + joins]``."""
+        nprocs = self.nprocs
+        nbase = sched.nbase
+        send, prev_seg, send_seg = sched.send, sched.prev_seg, sched.send_seg
+        nj = send.size
+        sproc = self._cols["proc"][send]
+        send_own = np.where(
+            send >= lo,
+            own[np.maximum(send - lo, 0)],
+            self._clocks[send, sproc],
+        )
+        bounds = sched.bounds
+        width = bounds[1:] - bounds[:-1]
+        # level passes: the send's own component lands in the second
+        # half (the send rows) of the level's (2 * width, nprocs) block
+        k = np.arange(nj)
+        send_at = (
+            k + bounds[1:].repeat(width) - 2 * bounds[:-1].repeat(width)
+        ) * nprocs + sproc
+        parents = sched.interleave(prev_seg, send_seg)
+        # run passes: each join's parent other than the previous join
+        other = np.where(prev_seg == nbase + k - 1, send_seg, prev_seg)
+        zero = table.shape[0] - 1
+        widths = width.tolist()
+        bl = bounds.tolist()
+        nlev = len(widths)
+        i = 0
+        while i < nlev:
+            a = bl[i]
+            if widths[i] > 1:
+                z = bl[i + 1]
+                rows = table.take(parents[2 * a: 2 * z], axis=0)
+                rows.reshape(-1)[send_at[a:z]] = send_own[a:z]
+                np.maximum(
+                    rows[: z - a], rows[z - a:], out=table[nbase + a: nbase + z]
+                )
+                i += 1
+                continue
+            j = i + 1
+            while j < nlev and widths[j] == 1:
+                j += 1
+            z = bl[j]
+            src = np.empty(z - a + 1, dtype=np.int64)
+            src[0] = prev_seg[a]
+            src[1] = send_seg[a]
+            tail = other[a + 1: z]
+            src[2:] = np.where(tail >= nbase + a, zero, tail)
+            rows = table.take(src, axis=0)
+            at = np.arange(nprocs, (z - a + 1) * nprocs, nprocs) + sproc[a:z]
+            rows.reshape(-1)[at] = send_own[a:z]
+            np.maximum.accumulate(rows, axis=0, out=rows)
+            table[nbase + a: nbase + z] = rows[1:]
+            i = j
 
     @property
     def clocks(self) -> np.ndarray:

@@ -28,8 +28,8 @@ Commands::
     profile                 per-process time breakdown + comm matrix
     critical                critical-path analysis of the trace
     races                   wildcard message races in the trace
-    stats                   history-index build/extend counters and
-                            per-kernel timings
+    stats                   history-index build/extend counters,
+                            join wavefront and per-kernel timings
     save-trace <file>       write the history to a trace file
     export-svg <file>       render the time-space diagram as SVG
     help                    this text

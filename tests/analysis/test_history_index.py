@@ -309,3 +309,13 @@ def test_kernel_stats_surfaced(ring_trace):
     assert stats.kernel_calls.get("critical_path") == 1
     text = stats.as_text()
     assert "kernel races" in text and "kernel critical_path" in text
+    # the clock catch-up reports its join wavefront: the token ring's
+    # 2 rounds x 4 hops are one causal chain, one join per level
+    assert len(index.message_pairs()) == 8
+    assert (stats.joins, stats.join_levels) == (8, 8)
+    assert "join wavefront: 8 join(s) in 8 level(s), mean width 1.0" in text
+    # stats() is a snapshot: later catch-ups do not change it
+    index.extend(ring_trace[0])
+    _ = index.clocks
+    assert (stats.joins, stats.join_levels) == (8, 8)
+    assert index.stats().joins == 8  # a lone send adds no join
